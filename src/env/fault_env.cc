@@ -38,7 +38,9 @@ class FaultWritableFile final : public WritableFile {
       : fname_(std::move(fname)), base_(std::move(base)), env_(env) {}
 
   Status Append(const Slice& data) override {
-    if (env_->ShouldFail()) return Status::IOError("injected write failure");
+    if (env_->ShouldFail(FaultInjectionEnv::Op::kAppend, fname_)) {
+      return Status::IOError("injected write failure");
+    }
     Status s = base_->Append(data);
     if (s.ok()) {
       size_ += data.size();
@@ -48,7 +50,9 @@ class FaultWritableFile final : public WritableFile {
   }
   Status Flush() override { return base_->Flush(); }
   Status Sync() override {
-    if (env_->ShouldFail()) return Status::IOError("injected sync failure");
+    if (env_->ShouldFail(FaultInjectionEnv::Op::kSync, fname_)) {
+      return Status::IOError("injected sync failure");
+    }
     Status s = base_->Sync();
     if (s.ok()) env_->NoteSynced(fname_);
     return s;
@@ -62,9 +66,17 @@ class FaultWritableFile final : public WritableFile {
   uint64_t size_ = 0;
 };
 
-bool FaultInjectionEnv::ShouldFail() {
+bool FaultInjectionEnv::ShouldFail(Op op, const std::string& fname) {
   std::lock_guard<std::mutex> l(mu_);
   if (failing_) return true;
+  if (at_armed_ && op == at_op_ &&
+      fname.find(at_fragment_) != std::string::npos) {
+    if (at_remaining_ == 0) {
+      failing_ = true;
+      return true;
+    }
+    at_remaining_--;
+  }
   if (!armed_) return false;
   if (writes_remaining_ == 0) {
     failing_ = true;
@@ -93,7 +105,9 @@ void FaultInjectionEnv::NoteCreated(const std::string& fname) {
 
 Status FaultInjectionEnv::NewWritableFile(
     const std::string& fname, std::unique_ptr<WritableFile>* result) {
-  if (ShouldFail()) return Status::IOError("injected create failure");
+  if (ShouldFail(Op::kCreate, fname)) {
+    return Status::IOError("injected create failure");
+  }
   std::unique_ptr<WritableFile> base_file;
   Status s = base_->NewWritableFile(fname, &base_file);
   if (!s.ok()) return s;
@@ -104,7 +118,9 @@ Status FaultInjectionEnv::NewWritableFile(
 }
 
 Status FaultInjectionEnv::RemoveFile(const std::string& fname) {
-  if (ShouldFail()) return Status::IOError("injected remove failure");
+  if (ShouldFail(Op::kRemove, fname)) {
+    return Status::IOError("injected remove failure");
+  }
   {
     std::lock_guard<std::mutex> l(mu_);
     synced_size_.erase(fname);
@@ -115,7 +131,9 @@ Status FaultInjectionEnv::RemoveFile(const std::string& fname) {
 
 Status FaultInjectionEnv::RenameFile(const std::string& src,
                                      const std::string& target) {
-  if (ShouldFail()) return Status::IOError("injected rename failure");
+  if (ShouldFail(Op::kRename, target)) {
+    return Status::IOError("injected rename failure");
+  }
   {
     std::lock_guard<std::mutex> l(mu_);
     auto cs = current_size_.find(src);

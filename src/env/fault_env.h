@@ -4,7 +4,9 @@
 //
 // Two mechanisms:
 //  * write failure arming: after `fail_after_writes` more write operations
-//    (appends, renames, removals), every mutating call returns IOError;
+//    (appends, renames, removals), every mutating call returns IOError —
+//    or, with FailAt, from the n-th call of one kind on matching files on
+//    (a crash at a chosen step of a protocol, e.g. a MANIFEST sync);
 //  * crash simulation: DropUnsyncedWrites() discards the suffix of every
 //    file that was appended since its last Sync() — the on-disk state a
 //    real machine could be left with after power loss.
@@ -15,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "env/env.h"
 
@@ -22,6 +25,9 @@ namespace talus {
 
 class FaultInjectionEnv : public Env {
  public:
+  /// The mutating calls a failure can be armed on.
+  enum class Op { kCreate, kAppend, kSync, kRename, kRemove };
+
   /// Does not own `base`; base must outlive this env.
   explicit FaultInjectionEnv(Env* base) : base_(base) {}
 
@@ -33,9 +39,20 @@ class FaultInjectionEnv : public Env {
     armed_ = true;
     writes_remaining_ = n;
   }
+  /// Arms a failure at the n-th (0 = the next) `op` on a file whose path
+  /// contains `fragment` (a rename matches on its target): that call and
+  /// every mutating call after it fail with IOError until Disarm().
+  void FailAt(Op op, const std::string& fragment, uint64_t n) {
+    std::lock_guard<std::mutex> l(mu_);
+    at_armed_ = true;
+    at_op_ = op;
+    at_fragment_ = fragment;
+    at_remaining_ = n;
+  }
   void Disarm() {
     std::lock_guard<std::mutex> l(mu_);
     armed_ = false;
+    at_armed_ = false;
     failing_ = false;
   }
   bool failing() const {
@@ -82,8 +99,8 @@ class FaultInjectionEnv : public Env {
  private:
   friend class FaultWritableFile;
 
-  /// Returns true if this mutating operation must fail.
-  bool ShouldFail();
+  /// Returns true if this mutating operation (`op` on `fname`) must fail.
+  bool ShouldFail(Op op, const std::string& fname);
   void NoteSynced(const std::string& fname);
   void NoteAppend(const std::string& fname, uint64_t new_size);
   void NoteCreated(const std::string& fname);
@@ -93,6 +110,10 @@ class FaultInjectionEnv : public Env {
   bool armed_ = false;
   bool failing_ = false;
   uint64_t writes_remaining_ = 0;
+  bool at_armed_ = false;
+  Op at_op_ = Op::kCreate;
+  std::string at_fragment_;
+  uint64_t at_remaining_ = 0;
   // Last synced size per file created through this env. Files absent from
   // the map are dropped entirely by DropUnsyncedWrites().
   std::map<std::string, uint64_t> synced_size_;

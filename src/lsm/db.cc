@@ -178,7 +178,94 @@ class DbIterator final : public Iterator {
   std::string value_;
 };
 
+// Unlinks `files` and emits one kGcDelete (a = files unlinked, b = micros
+// spent). A file already gone is not a failure; any other failure is
+// returned (the first one) and the file is left for DB::Open to sweep.
+Status UnlinkFiles(Env* env, const std::vector<std::string>& files,
+                   obs::EventRing* ring, uint16_t shard) {
+  Status result;
+  uint64_t unlinked = 0;
+  const uint64_t t0 = NowMicros();
+  for (const std::string& fname : files) {
+    const Status s = env->RemoveFile(fname);
+    if (s.ok()) {
+      unlinked++;
+    } else if (!s.IsNotFound() && result.ok()) {
+      result = s;
+    }
+  }
+  ring->Emit(obs::EventType::kGcDelete, shard, unlinked, NowMicros() - t0);
+  return result;
+}
+
 }  // namespace
+
+// One thread per background-mode DB that unlinks the files jobs and view
+// releases hand it, so no RemoveFile runs under DB::mutex_ (DESIGN.md §2.7).
+class DB::Reaper {
+ public:
+  Reaper(Env* env, obs::EventRing* ring, uint16_t shard,
+         std::function<void(const Status&)> on_error)
+      : env_(env),
+        ring_(ring),
+        shard_(shard),
+        on_error_(std::move(on_error)),
+        thread_([this] { Loop(); }) {}
+
+  ~Reaper() {
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();  // Loop() finishes the queue before it exits.
+  }
+
+  /// Queues `files`. With `bounded`, first waits until everything queued
+  /// before is unlinked, so deletion debt never exceeds one batch.
+  void Add(std::vector<std::string> files, bool bounded) {
+    std::unique_lock<std::mutex> l(mu_);
+    if (bounded) cv_.wait(l, [this] { return queue_.empty() && !busy_; });
+    queue_.insert(queue_.end(), std::make_move_iterator(files.begin()),
+                  std::make_move_iterator(files.end()));
+    cv_.notify_all();
+  }
+
+  /// Blocks until everything handed over so far is unlinked.
+  void Drain() {
+    std::unique_lock<std::mutex> l(mu_);
+    cv_.wait(l, [this] { return queue_.empty() && !busy_; });
+  }
+
+ private:
+  void Loop() {
+    std::unique_lock<std::mutex> l(mu_);
+    while (true) {
+      cv_.wait(l, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // Stopping with nothing left to do.
+      std::vector<std::string> batch;
+      batch.swap(queue_);
+      busy_ = true;
+      l.unlock();
+      const Status s = UnlinkFiles(env_, batch, ring_, shard_);
+      if (!s.ok()) on_error_(s);
+      l.lock();
+      busy_ = false;
+      cv_.notify_all();
+    }
+  }
+
+  Env* const env_;
+  obs::EventRing* const ring_;
+  const uint16_t shard_;
+  const std::function<void(const Status&)> on_error_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::string> queue_;
+  bool busy_ = false;
+  bool stop_ = false;
+  std::thread thread_;  // Last: starts once every field above exists.
+};
 
 DB::DB(const DbOptions& options) : options_(options) {
   // Legacy alias: wal_sync_writes predates wal_sync_mode and promised one
@@ -245,10 +332,14 @@ DB::~DB() {
   // across shards) is the sharded store's to shut down, not ours.
   if (scheduler_ != nullptr) scheduler_->Shutdown();
   if (owned_pool_ != nullptr) owned_pool_->Shutdown();
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   // Best effort: anything still pinned (stray iterator outliving the DB is
   // undefined behavior anyway) stays on disk and is swept at the next Open.
-  CollectObsoleteLocked();
+  ReapLocked(lock);
+  lock.unlock();
+  // The reaper may take the mutex to latch an unlink failure, so it is
+  // drained and joined with the mutex released.
+  reaper_.reset();
   if (current_ != nullptr && current_->Unref()) delete current_;
 }
 
@@ -308,7 +399,6 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     db->next_run_id_ = manifest.next_run_id;
     db->last_sequence_ = manifest.last_sequence;
     db->flush_count_ = manifest.flush_count;
-    db->manifest_number_ = manifest_number;
     old_wal = manifest.wal_number;
     if (!db->policy_->DecodeState(manifest.policy_state)) {
       return Status::Corruption("bad growth policy state in manifest");
@@ -320,20 +410,41 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
   }
 
   db->mem_ = std::make_shared<MemTable>();
+  // The first commit rolls to a fresh log and retires the recovered one.
+  db->manifest_ =
+      std::make_unique<ManifestLog>(env, options.path, manifest_number);
 
-  // Sweep orphaned SSTs: files on disk but absent from the manifest's
-  // version (left by a crash between a manifest install and deferred GC, or
-  // by a shutdown with pinned iterators). Nothing else runs yet, so every
-  // unreferenced .sst is garbage.
+  // Every table the recovered version names must exist: a missing one means
+  // the manifest and the directory disagree, and opening would turn reads of
+  // its keys into silent misses. Then sweep what the manifest does not
+  // name: SSTs left by a crash between a manifest install and their unlink
+  // (or by a shutdown with pinned iterators), and MANIFEST logs left by a
+  // crash mid-roll. Nothing else runs yet, so all of it is garbage.
   {
     std::vector<std::string> children;
-    if (env->GetChildren(options.path, &children).ok()) {
-      for (const auto& name : children) {
-        uint64_t number = 0;
-        std::string suffix;
-        if (ParseFileName(name, &number, &suffix) && suffix == "sst" &&
-            !db->current_->ReferencesFile(number)) {
+    s = env->GetChildren(options.path, &children);
+    if (!s.ok()) return s;
+    std::set<uint64_t> ssts;
+    for (const auto& name : children) {
+      uint64_t number = 0;
+      std::string suffix;
+      if (!ParseFileName(name, &number, &suffix)) continue;
+      if (suffix == "sst") {
+        ssts.insert(number);
+        if (!db->current_->ReferencesFile(number)) {
           env->RemoveFile(SstFileName(options.path, number));
+        }
+      } else if (suffix == "manifest" && number != manifest_number) {
+        env->RemoveFile(ManifestFileName(options.path, number));
+      }
+    }
+    for (const LevelState& level : db->current_->levels) {
+      for (const SortedRun& run : level.runs) {
+        for (const FileMetaPtr& f : run.files) {
+          if (ssts.count(f->number) == 0) {
+            return Status::Corruption("manifest names a missing table",
+                                      SstFileName(options.path, f->number));
+          }
         }
       }
     }
@@ -357,18 +468,18 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     db->wal_number_ = replayed.back();
     Status fs = db->DoFlushLocked(lock);
     if (!fs.ok()) return fs;
-    for (size_t i = 0; i + 1 < replayed.size(); i++) {
-      env->RemoveFile(WalFileName(options.path, replayed[i]));
-    }
+    replayed.pop_back();  // DoFlushLocked retired the newest one.
   } else {
     Status ws = db->NewWalLocked();
     if (!ws.ok()) return ws;
     ws = db->InstallManifestLocked();
     if (!ws.ok()) return ws;
-    for (uint64_t w : replayed) {
-      env->RemoveFile(WalFileName(options.path, w));
-    }
   }
+  for (uint64_t w : replayed) {
+    db->unlink_batch_.push_back(WalFileName(options.path, w));
+  }
+  s = db->ReapLocked(lock);  // Synchronous: the reaper starts below.
+  if (!s.ok()) return s;
   lock.unlock();
 
   if (db->is_background()) {
@@ -389,6 +500,15 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     // Attach the pool so background compactions fan their subcompactions
     // out (bounded by DbOptions::max_subcompactions).
     db->compaction_exec_->SetPool(db->pool_);
+    // A failed unlink keeps its meaning from the synchronous path: it is
+    // latched as the background error (the file is swept at the next Open).
+    DB* raw = db.get();
+    db->reaper_ = std::make_unique<Reaper>(
+        env, db->ring_, static_cast<uint16_t>(options.shard_index),
+        [raw](const Status& us) {
+          std::lock_guard<std::mutex> l(raw->mutex_);
+          if (raw->bg_error_.ok()) raw->bg_error_ = us;
+        });
   }
 
   if (options.stats_snapshot_interval_ms > 0) {
@@ -918,12 +1038,10 @@ Status DB::BackgroundFlushLocked(std::unique_lock<std::mutex>& lock) {
     stats_.bg_flushes++;
     policy_->OnFlushCompleted(*current_);
     s = InstallManifestLocked();
-    if (s.ok()) {
-      MarkObsoleteLocked(std::move(obsolete));
-      s = CollectObsoleteLocked();
-    }
-    if (s.ok() && part.wal_number != 0) {
-      options_.env->RemoveFile(WalFileName(options_.path, part.wal_number));
+    if (!s.ok()) break;
+    MarkObsoleteLocked(std::move(obsolete));
+    if (part.wal_number != 0) {
+      unlink_batch_.push_back(WalFileName(options_.path, part.wal_number));
     }
     bg_cv_.notify_all();
   }
@@ -931,6 +1049,11 @@ Status DB::BackgroundFlushLocked(std::unique_lock<std::mutex>& lock) {
   flush_active_ = false;
   if (s.ok()) ScheduleCompactionLocked();
   bg_cv_.notify_all();
+  // Reaped after giving up the flush slot: a memtable sealed meanwhile is
+  // flushed by the next job instead of waiting behind this job's wait for
+  // the reaper's previous batch. (Background mode: the hand-off never
+  // fails.)
+  ReapLocked(lock);
   return s;
 }
 
@@ -998,6 +1121,7 @@ Status DB::FlushMemTable() {
   }
   lock.unlock();
   scheduler_->WaitIdle();
+  DrainReaper();
   lock.lock();
   return bg_error_;
 }
@@ -1023,11 +1147,11 @@ Status DB::DoFlushLocked(std::unique_lock<std::mutex>& lock) {
   s = InstallManifestLocked();
   if (!s.ok()) return s;
   MarkObsoleteLocked(std::move(obsolete));
-  s = CollectObsoleteLocked();
-  if (!s.ok()) return s;
   if (old_wal != 0) {
-    options_.env->RemoveFile(WalFileName(options_.path, old_wal));
+    unlink_batch_.push_back(WalFileName(options_.path, old_wal));
   }
+  s = ReapLocked(lock);
+  if (!s.ok()) return s;
 
   const double stall = options_.env->io_stats()->clock() - stall_start;
   if (stall > stats_.max_stall_clock) stats_.max_stall_clock = stall;
@@ -1214,7 +1338,7 @@ Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock,
     EnsurePaddedLocked(
         static_cast<size_t>(std::max(1, policy_->RequiredLevels(*current_))));
     auto req = policy_->PickCompaction(*current_);
-    if (!req.has_value()) return Status::OK();
+    if (!req.has_value()) return ReapLocked(lock);
     // Forward-progress valve: optimistic (off-mutex) merges can in
     // principle conflict every round under a hostile flush cadence. After
     // a few consecutive conflicts run one merge under the mutex — it
@@ -1226,13 +1350,13 @@ Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock,
     if (installed) {
       consecutive_conflicts = 0;
       policy_->OnCompactionCompleted(*req, *current_);
-      // The merge stage has released its file references by now, so
-      // unpinned inputs are deleted here.
-      s = CollectObsoleteLocked();
-      if (!s.ok()) return s;
     } else {
       consecutive_conflicts++;
     }
+    // The merge stage has released its file references by now, so unpinned
+    // inputs (and a conflicted merge's outputs) are unlinked here.
+    s = ReapLocked(lock);
+    if (!s.ok()) return s;
     // On a conflict (background only) the round re-picks against the fresh
     // version: the concurrent flush that caused it already reshaped the
     // tree the policy will now see.
@@ -1261,11 +1385,11 @@ Status DB::PlanForRequestLocked(const CompactionRequest& req,
 }
 
 void DB::DeleteUninstalledOutputs(const std::vector<FileMetaPtr>& outputs) {
-  // These files never entered a version, so no reader can hold a pin;
-  // immediate deletion is safe (anything half-written by a failed merge is
-  // swept as an orphan at the next Open).
+  // These files never entered a version, so no reader can hold a pin
+  // (anything half-written by a failed merge is swept as an orphan at the
+  // next Open).
   for (const auto& f : outputs) {
-    options_.env->RemoveFile(SstFileName(options_.path, f->number));
+    unlink_batch_.push_back(SstFileName(options_.path, f->number));
   }
 }
 
@@ -1363,8 +1487,8 @@ Status DB::RunCompactionRequestLocked(const CompactionRequest& req,
   }
 
   // Persist the new structure before queueing the inputs for deletion
-  // (crash safety); the caller runs CollectObsoleteLocked once the merge
-  // stage has dropped its file references.
+  // (crash safety); the caller runs ReapLocked once the merge stage has
+  // dropped its file references.
   s = InstallManifestLocked();
   if (!s.ok()) return s;
   MarkObsoleteLocked(std::move(obsolete));
@@ -1410,7 +1534,10 @@ Status DB::CompactAll() {
     if (!s.ok()) return s;
     if (installed) {
       policy_->OnCompactionCompleted(req, *current_);
-      return CollectObsoleteLocked();
+      s = ReapLocked(lock);
+      lock.unlock();
+      DrainReaper();
+      return s;
     }
   }
   // Unreachable: the final under-mutex attempt always installs.
@@ -1617,15 +1744,16 @@ Status DB::InstallManifestLocked() {
   data.policy_config = EncodeGrowthPolicyConfig(options_.policy);
   data.version = *current_;
 
-  const uint64_t new_number = manifest_number_ + 1;
-  Status s = WriteManifestSnapshot(options_.env, options_.path, new_number,
-                                   data);
+  const uint64_t t0 = NowMicros();
+  ManifestLog::CommitInfo info;
+  Status s = manifest_->Commit(data, &info);
   if (!s.ok()) return s;
-  if (manifest_number_ != 0) {
-    options_.env->RemoveFile(
-        ManifestFileName(options_.path, manifest_number_));
+  if (info.retired != 0) {
+    unlink_batch_.push_back(ManifestFileName(options_.path, info.retired));
   }
-  manifest_number_ = new_number;
+  ring_->Emit(obs::EventType::kManifestCommit,
+              static_cast<uint16_t>(options_.shard_index), info.record_bytes,
+              NowMicros() - t0);
   return Status::OK();
 }
 
@@ -1657,9 +1785,7 @@ void DB::MarkObsoleteLocked(std::vector<FileMetaPtr> files) {
   gc_pending_count_.store(gc_pending_.size(), std::memory_order_release);
 }
 
-Status DB::CollectObsoleteLocked() {
-  Status result;
-  uint64_t deleted_now = 0;
+void DB::CollectObsoleteLocked() {
   for (auto it = gc_pending_.begin(); it != gc_pending_.end();) {
     // use_count() == 1 means the queue's own reference is the last: every
     // version, view, and iterator has let go. A stale concurrent read can
@@ -1670,23 +1796,30 @@ Status DB::CollectObsoleteLocked() {
     }
     const uint64_t number = (*it)->number;
     table_cache_->Evict(number);
-    Status s = options_.env->RemoveFile(SstFileName(options_.path, number));
-    if (!s.ok() && !s.IsNotFound()) {
-      // Keep the entry so the next collection retries the deletion.
-      if (result.ok()) result = s;
-      ++it;
-      continue;
-    }
+    unlink_batch_.push_back(SstFileName(options_.path, number));
     it = gc_pending_.erase(it);
     stats_.obsolete_files_deleted++;
-    deleted_now++;
   }
   gc_pending_count_.store(gc_pending_.size(), std::memory_order_release);
-  if (deleted_now > 0) {
-    ring_->Emit(obs::EventType::kGcDelete,
-                static_cast<uint16_t>(options_.shard_index), deleted_now, 0);
+}
+
+Status DB::ReapLocked(std::unique_lock<std::mutex>& lock, bool bounded) {
+  CollectObsoleteLocked();
+  if (unlink_batch_.empty()) return Status::OK();
+  std::vector<std::string> batch;
+  batch.swap(unlink_batch_);
+  if (reaper_ == nullptr) {
+    return UnlinkFiles(options_.env, batch, ring_,
+                       static_cast<uint16_t>(options_.shard_index));
   }
-  return result;
+  lock.unlock();
+  reaper_->Add(std::move(batch), bounded);
+  lock.lock();
+  return Status::OK();
+}
+
+void DB::DrainReaper() {
+  if (reaper_ != nullptr) reaper_->Drain();
 }
 
 std::shared_ptr<const read::ReadView> DB::AcquireReadView() {
@@ -1733,10 +1866,12 @@ void DB::ReleaseReadView(const read::ReadView* view) {
     delete version;
     return;
   }
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   if (version->Unref()) delete version;
-  Status s = CollectObsoleteLocked();
-  if (!s.ok() && is_background() && bg_error_.ok()) bg_error_ = s;
+  // A reader dropping the last pin neither pays for the unlinks (in
+  // background mode) nor waits for a job's batch. Inline, a failed unlink
+  // only leaves the file behind for the next Open.
+  ReapLocked(lock, /*bounded=*/false);
 }
 
 double DB::BitsPerKeyForLevelLocked(int level) const {
@@ -2071,10 +2206,8 @@ Status DB::CatchUpCompactionsLocked(std::unique_lock<std::mutex>& lock) {
     Status s =
         RunCompactionRequestLocked(req, lock, is_background(), &installed);
     if (!s.ok()) return s;
-    if (installed) {
-      s = CollectObsoleteLocked();
-      if (!s.ok()) return s;
-    }
+    s = ReapLocked(lock);
+    if (!s.ok()) return s;
     if (is_background()) {
       // Same interleave point as the policy loop: let writers breathe.
       bg_cv_.notify_all();

@@ -24,7 +24,10 @@
 // drop the mutex while building SST files from an immutable memtable, and
 // background compactions drop it for their whole merge stage (plan → merge →
 // conflict-checked install, DESIGN.md §2.8); all metadata installation
-// happens with the mutex held.
+// happens with the mutex held. That is one append + sync of the MANIFEST
+// log per install (lsm/manifest.h); unlinking obsolete SSTs, retired WALs
+// and rolled MANIFESTs happens off the mutex on a per-DB reaper thread in
+// background mode (DESIGN.md §2.7).
 #ifndef TALUS_LSM_DB_H_
 #define TALUS_LSM_DB_H_
 
@@ -98,7 +101,7 @@ struct EngineStats {
   std::atomic<uint64_t> data_block_reads{0};
   std::atomic<uint64_t> block_cache_hits{0};
 
-  // Obsolete SSTs physically deleted after their deferred-GC pin count
+  // Obsolete SSTs released for unlinking after their deferred-GC pin count
   // dropped to zero (DESIGN.md §2.7).
   uint64_t obsolete_files_deleted = 0;
 
@@ -294,7 +297,8 @@ class DB {
   std::shared_ptr<const read::ReadView> AcquireReadView();
 
   /// Forces a memtable flush (and any compactions it triggers). In
-  /// background mode, blocks until the flush and its compactions complete.
+  /// background mode, blocks until the flush, its compactions and the
+  /// unlinks of the files they made obsolete complete.
   Status FlushMemTable();
 
   /// Not synchronized: meaningful only while no background job is running,
@@ -438,9 +442,18 @@ class DB {
   void EnsurePaddedLocked(size_t min_levels);
   /// Queues files dropped from the latest version for deferred deletion.
   void MarkObsoleteLocked(std::vector<FileMetaPtr> files);
-  /// Physically deletes queued files whose last reference is the queue
-  /// itself (no version, view, or iterator still points at them).
-  Status CollectObsoleteLocked();
+  /// Moves queued SSTs whose last reference is the queue itself (no
+  /// version, view, or iterator still points at them) into unlink_batch_.
+  void CollectObsoleteLocked();
+  /// Collects, then unlinks unlink_batch_: inline, synchronously under the
+  /// mutex (returning the first failure); in background mode by handing it
+  /// to the reaper with the mutex released — when `bounded`, only after the
+  /// reaper finished the previous batch, so deletion debt never exceeds one
+  /// batch.
+  Status ReapLocked(std::unique_lock<std::mutex>& lock, bool bounded = true);
+  /// Blocks until the reaper has unlinked everything handed to it (no-op in
+  /// inline mode). Called without the mutex.
+  void DrainReaper();
 
   /// Full inline flush: memtable → L0, compaction loop, WAL rotation.
   Status DoFlushLocked(std::unique_lock<std::mutex>& lock);
@@ -488,9 +501,9 @@ class DB {
                                     std::unique_lock<std::mutex>& lock,
                                     std::vector<FileMetaPtr>* obsolete,
                                     bool* merged);
-  /// Deletes merge outputs that never entered a version (failed or
-  /// conflicted merges). They are invisible to every reader, so immediate
-  /// removal is safe.
+  /// Queues merge outputs that never entered a version (failed or
+  /// conflicted merges) for unlinking. They are invisible to every reader,
+  /// so no pin check is needed.
   void DeleteUninstalledOutputs(const std::vector<FileMetaPtr>& outputs);
   /// Output-file geometry shared by flush and compaction sorted-output
   /// passes.
@@ -504,6 +517,8 @@ class DB {
   /// by the policy's own loop.
   Status CatchUpCompactionsLocked(std::unique_lock<std::mutex>& lock);
 
+  /// Commits the current state to the MANIFEST log (one append + sync;
+  /// a roll also repoints CURRENT and queues the old log for unlinking).
   Status InstallManifestLocked();
   Status NewWalLocked();
   Status RecoverWalsLocked(uint64_t oldest_wal,
@@ -579,12 +594,17 @@ class DB {
   // Mirror of gc_pending_.size(): lets view release skip the mutex when
   // nothing is queued.
   std::atomic<size_t> gc_pending_count_{0};
+  // Paths the durable manifest does not name (unpinned obsolete SSTs,
+  // outputs of failed merges, retired WALs, rolled MANIFESTs), waiting for
+  // the next ReapLocked.
+  std::vector<std::string> unlink_batch_;
+  // The MANIFEST log; commits happen under the mutex.
+  std::unique_ptr<ManifestLog> manifest_;
 
   // Atomic so background SST builds can allocate file numbers while the
   // mutex is released.
   std::atomic<uint64_t> next_file_number_{1};
   uint64_t next_run_id_ = 1;
-  uint64_t manifest_number_ = 0;
   SequenceNumber last_sequence_ = 0;
   uint64_t flush_count_ = 0;
 
@@ -643,6 +663,10 @@ class DB {
   int bg_jobs_pending_ = 0;
   // First background failure; writers fail fast once set.
   Status bg_error_;
+  // Unlinks obsolete files on its own thread (background mode only; null
+  // under kInline). ~DB resets it, which drains it, with the mutex released.
+  class Reaper;
+  std::unique_ptr<Reaper> reaper_;
 };
 
 }  // namespace talus

@@ -2,8 +2,7 @@
 
 #include "lsm/filename.h"
 #include "util/coding.h"
-#include "wal/log_reader.h"
-#include "wal/log_writer.h"
+#include "util/crc32c.h"
 
 namespace talus {
 
@@ -110,33 +109,65 @@ Status DecodeSnapshot(Slice input, ManifestData* data) {
   return Status::OK();
 }
 
-}  // namespace
+// A log rolls once it holds this many times the newest record's bytes, so
+// the bytes a reopen reads stay proportional to one snapshot while CURRENT
+// is rewritten only once per ~kManifestRollFactor installs.
+constexpr uint64_t kManifestRollFactor = 64;
 
-Status WriteManifestSnapshot(Env* env, const std::string& dbpath,
-                             uint64_t manifest_number,
-                             const ManifestData& data) {
-  const std::string fname = ManifestFileName(dbpath, manifest_number);
-  std::unique_ptr<WritableFile> file;
-  Status s = env->NewWritableFile(fname, &file);
-  if (!s.ok()) return s;
-  wal::LogWriter writer(std::move(file));
-  s = writer.AddRecord(Slice(EncodeSnapshot(data)));
-  if (s.ok()) s = writer.Sync();
-  if (s.ok()) s = writer.Close();
-  if (!s.ok()) return s;
-
-  // Atomically repoint CURRENT via rename.
+// Repoints CURRENT at `manifest_basename`: write CURRENT.tmp, sync, rename.
+Status SetCurrentFile(Env* env, const std::string& dbpath,
+                      const std::string& manifest_basename) {
   const std::string tmp = dbpath + "/CURRENT.tmp";
   std::unique_ptr<WritableFile> cur;
-  s = env->NewWritableFile(tmp, &cur);
+  Status s = env->NewWritableFile(tmp, &cur);
   if (!s.ok()) return s;
-  std::string manifest_basename =
-      fname.substr(fname.find_last_of('/') + 1);
   s = cur->Append(Slice(manifest_basename));
   if (s.ok()) s = cur->Sync();
   if (s.ok()) s = cur->Close();
   if (!s.ok()) return s;
   return env->RenameFile(tmp, CurrentFileName(dbpath));
+}
+
+}  // namespace
+
+Status ManifestLog::Commit(const ManifestData& data, CommitInfo* info) {
+  const std::string record = EncodeSnapshot(data);
+  info->record_bytes = record.size();
+  info->retired = 0;
+  if (log_ == nullptr || log_bytes_ >= kManifestRollFactor * record.size()) {
+    return Roll(record, info);
+  }
+  Status s = log_->AddRecord(Slice(record));
+  if (s.ok()) s = log_->Sync();
+  if (!s.ok()) {
+    log_.reset();
+    return s;
+  }
+  log_bytes_ += wal::kHeaderSize + record.size();
+  return Status::OK();
+}
+
+Status ManifestLog::Roll(const std::string& record, CommitInfo* info) {
+  log_.reset();
+  const uint64_t next = number_ + 1;
+  const std::string fname = ManifestFileName(dbpath_, next);
+  std::unique_ptr<WritableFile> file;
+  Status s = env_->NewWritableFile(fname, &file);
+  if (!s.ok()) return s;
+  auto log = std::make_unique<wal::LogWriter>(std::move(file));
+  s = log->AddRecord(Slice(record));
+  if (s.ok()) s = log->Sync();
+  // The new log is durable before CURRENT names it; a crash before the
+  // rename leaves an orphan that the next Open sweeps.
+  if (s.ok()) {
+    s = SetCurrentFile(env_, dbpath_, fname.substr(fname.rfind('/') + 1));
+  }
+  if (!s.ok()) return s;
+  info->retired = number_;
+  number_ = next;
+  log_ = std::move(log);
+  log_bytes_ = wal::kHeaderSize + record.size();
+  return Status::OK();
 }
 
 Status ReadCurrentManifest(Env* env, const std::string& dbpath,
@@ -169,12 +200,35 @@ Status ReadCurrentManifest(Env* env, const std::string& dbpath,
   std::unique_ptr<SequentialFile> file;
   s = env->NewSequentialFile(dbpath + "/" + name, &file);
   if (!s.ok()) return s;
-  wal::LogReader reader(std::move(file));
-  std::string record;
-  if (!reader.ReadRecord(&record)) {
-    return Status::Corruption("manifest unreadable", name);
+  std::string contents;
+  {
+    std::string scratch(64 << 10, '\0');
+    Slice chunk;
+    while ((s = file->Read(scratch.size(), &chunk, scratch.data())).ok() &&
+           !chunk.empty()) {
+      contents.append(chunk.data(), chunk.size());
+    }
+    if (!s.ok()) return s;
   }
-  s = DecodeSnapshot(Slice(record), data);
+  // Walk the frames. Only the final one may be incomplete (torn tail).
+  Slice input(contents);
+  Slice newest;
+  bool found = false;
+  while (input.size() >= wal::kHeaderSize) {
+    const uint32_t masked_crc = DecodeFixed32(input.data());
+    const uint32_t length = DecodeFixed32(input.data() + 4);
+    if (input.size() - wal::kHeaderSize < length) break;  // Torn tail.
+    const Slice payload(input.data() + wal::kHeaderSize, length);
+    if (crc32c::Unmask(masked_crc) !=
+        crc32c::Value(payload.data(), payload.size())) {
+      return Status::Corruption("manifest record checksum mismatch", name);
+    }
+    newest = payload;
+    found = true;
+    input.remove_prefix(wal::kHeaderSize + length);
+  }
+  if (!found) return Status::Corruption("manifest unreadable", name);
+  s = DecodeSnapshot(newest, data);
   if (s.ok() && manifest_number != nullptr) *manifest_number = number;
   return s;
 }

@@ -21,6 +21,7 @@ const char* EventTypeName(EventType type) {
     case EventType::kAmpSample: return "amp_sample";
     case EventType::kModelDrift: return "model_drift";
     case EventType::kPolicyChange: return "policy_change";
+    case EventType::kManifestCommit: return "manifest_commit";
   }
   return "unknown";
 }

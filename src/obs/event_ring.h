@@ -30,14 +30,15 @@ enum class EventType : uint8_t {
   kCompactionConflict,  // a: level
   kStallEnter,          // a: cause (see StallCauseName), b: 1 stop / 0 slowdown
   kStallExit,           // a: cause, b: stalled micros
-  kGcDelete,            // a: tables deleted
+  kGcDelete,            // a: files unlinked, b: micros spent unlinking
   kShardBackpressure,   // a: 1 entered / 0 cleared, b: aggregate L0 runs
   kMemtableSwitch,      // a: sealed memtable bytes
   kAmpSample,           // a: window write-amp (milli), b: window blocks/lookup (milli)
   kModelDrift,          // a: drift score (milli), b: mix shift (milli)
   kPolicyChange,        // a: 1 tiering / 0 leveling, b: size ratio (milli)
+  kManifestCommit,      // a: record bytes, b: micros (append + sync, or roll)
 };
-constexpr int kNumEventTypes = 14;
+constexpr int kNumEventTypes = 15;
 
 const char* EventTypeName(EventType type);
 

@@ -22,6 +22,35 @@ FileMetaPtr File(uint64_t number, const std::string& lo, const std::string& hi,
   return f;
 }
 
+// Commits `data` to a fresh log for manifest number `number - 1`, which
+// therefore rolls to MANIFEST-<number> and repoints CURRENT at it.
+Status WriteSnapshot(Env* env, const std::string& dbpath, uint64_t number,
+                     const ManifestData& data) {
+  ManifestLog log(env, dbpath, number - 1);
+  ManifestLog::CommitInfo info;
+  return log.Commit(data, &info);
+}
+
+std::string ReadAll(Env* env, const std::string& fname) {
+  std::unique_ptr<SequentialFile> in;
+  EXPECT_TRUE(env->NewSequentialFile(fname, &in).ok());
+  std::string contents;
+  std::string scratch(1 << 16, '\0');
+  Slice chunk;
+  while (in->Read(scratch.size(), &chunk, scratch.data()).ok() &&
+         !chunk.empty()) {
+    contents.append(chunk.data(), chunk.size());
+  }
+  return contents;
+}
+
+void WriteAll(Env* env, const std::string& fname, const std::string& data) {
+  std::unique_ptr<WritableFile> out;
+  ASSERT_TRUE(env->NewWritableFile(fname, &out).ok());
+  ASSERT_TRUE(out->Append(data).ok());
+  ASSERT_TRUE(out->Close().ok());
+}
+
 TEST(SortedRun, Aggregates) {
   SortedRun run;
   run.run_id = 1;
@@ -86,7 +115,7 @@ TEST(Manifest, SnapshotRoundTrip) {
   run.files = {File(10, "aaa", "mmm"), File(11, "nnn", "zzz")};
   data.version.levels[1].runs.push_back(run);
 
-  ASSERT_TRUE(WriteManifestSnapshot(env.get(), "/m", 1, data).ok());
+  ASSERT_TRUE(WriteSnapshot(env.get(), "/m", 1, data).ok());
 
   ManifestData loaded;
   uint64_t number = 0;
@@ -115,13 +144,115 @@ TEST(Manifest, CurrentRepointsAtomically) {
   ManifestData a, b;
   a.policy_name = "first";
   b.policy_name = "second";
-  ASSERT_TRUE(WriteManifestSnapshot(env.get(), "/m", 1, a).ok());
-  ASSERT_TRUE(WriteManifestSnapshot(env.get(), "/m", 2, b).ok());
+  ASSERT_TRUE(WriteSnapshot(env.get(), "/m", 1, a).ok());
+  ASSERT_TRUE(WriteSnapshot(env.get(), "/m", 2, b).ok());
   ManifestData loaded;
   uint64_t number;
   ASSERT_TRUE(ReadCurrentManifest(env.get(), "/m", &loaded, &number).ok());
   EXPECT_EQ(number, 2u);
   EXPECT_EQ(loaded.policy_name, "second");
+}
+
+// The log holds one record per commit; recovery takes the newest.
+TEST(Manifest, NewestOfManyRecordsWins) {
+  auto env = NewMemEnv();
+  ManifestLog log(env.get(), "/m", 0);
+  for (uint64_t i = 1; i <= 5; i++) {
+    ManifestData d;
+    d.last_sequence = i * 100;
+    d.policy_name = "p";
+    ManifestLog::CommitInfo info;
+    ASSERT_TRUE(log.Commit(d, &info).ok());
+    EXPECT_EQ(info.retired, 0u);  // One log throughout: no roll.
+  }
+  EXPECT_EQ(log.number(), 1u);
+  ManifestData loaded;
+  uint64_t number = 0;
+  ASSERT_TRUE(ReadCurrentManifest(env.get(), "/m", &loaded, &number).ok());
+  EXPECT_EQ(number, 1u);
+  EXPECT_EQ(loaded.last_sequence, 500u);
+}
+
+// A crash between a record's append and its sync can leave the record cut
+// short by EOF: recovery ignores it and uses the one before.
+TEST(Manifest, TornTailFallsBackOneRecord) {
+  auto env = NewMemEnv();
+  ManifestLog log(env.get(), "/m", 0);
+  for (uint64_t i = 1; i <= 3; i++) {
+    ManifestData d;
+    d.last_sequence = i;
+    ManifestLog::CommitInfo info;
+    ASSERT_TRUE(log.Commit(d, &info).ok());
+  }
+  const std::string fname = ManifestFileName("/m", 1);
+  const std::string full = ReadAll(env.get(), fname);
+  // Records are equal-sized here, so the third starts at 2/3 of the file.
+  const size_t third = full.size() / 3 * 2;
+  for (const size_t keep : {full.size() - 1, third + 5, third + 3}) {
+    WriteAll(env.get(), fname, full.substr(0, keep));
+    ManifestData loaded;
+    ASSERT_TRUE(ReadCurrentManifest(env.get(), "/m", &loaded, nullptr).ok())
+        << "kept " << keep;
+    EXPECT_EQ(loaded.last_sequence, 2u) << "kept " << keep;
+  }
+}
+
+// A checksum mismatch on a complete record is damage, not a torn write:
+// silently rolling back to an older snapshot is never an option.
+TEST(Manifest, CorruptCompleteRecordFails) {
+  auto env = NewMemEnv();
+  ManifestLog log(env.get(), "/m", 0);
+  for (uint64_t i = 1; i <= 3; i++) {
+    ManifestData d;
+    d.last_sequence = i;
+    d.policy_name = "policy";
+    ManifestLog::CommitInfo info;
+    ASSERT_TRUE(log.Commit(d, &info).ok());
+  }
+  const std::string fname = ManifestFileName("/m", 1);
+  const std::string full = ReadAll(env.get(), fname);
+  for (const size_t at : {full.size() / 6, full.size() / 2, full.size() - 2}) {
+    std::string damaged = full;
+    damaged[at] ^= 0x40;
+    WriteAll(env.get(), fname, damaged);
+    ManifestData loaded;
+    EXPECT_TRUE(
+        ReadCurrentManifest(env.get(), "/m", &loaded, nullptr).IsCorruption())
+        << "damaged byte " << at;
+  }
+}
+
+// Once the log holds enough records it rolls: the next record starts a new
+// MANIFEST, CURRENT names it, and the old log is handed back for deletion.
+TEST(Manifest, RollRepointsCurrent) {
+  auto env = NewMemEnv();
+  ManifestLog log(env.get(), "/m", 0);
+  ManifestData d;
+  d.policy_name = "policy";
+  ManifestLog::CommitInfo info;
+  ASSERT_TRUE(log.Commit(d, &info).ok());
+  ASSERT_EQ(log.number(), 1u);
+  uint64_t commits = 1;
+  while (log.number() == 1 && commits < 1000) {
+    d.last_sequence = ++commits;
+    ASSERT_TRUE(log.Commit(d, &info).ok());
+  }
+  ASSERT_EQ(log.number(), 2u) << "no roll after " << commits << " commits";
+  EXPECT_EQ(info.retired, 1u);
+  EXPECT_GT(commits, 2u);  // Rolls are rare, not per commit.
+  EXPECT_TRUE(env->FileExists(ManifestFileName("/m", 1)));  // Caller's job.
+  ManifestData loaded;
+  uint64_t number = 0;
+  ASSERT_TRUE(ReadCurrentManifest(env.get(), "/m", &loaded, &number).ok());
+  EXPECT_EQ(number, 2u);
+  EXPECT_EQ(loaded.last_sequence, commits);
+  // The new log starts with just the rolled record; later ones append.
+  d.last_sequence = ++commits;
+  ASSERT_TRUE(log.Commit(d, &info).ok());
+  EXPECT_EQ(info.retired, 0u);
+  ASSERT_TRUE(ReadCurrentManifest(env.get(), "/m", &loaded, &number).ok());
+  EXPECT_EQ(number, 2u);
+  EXPECT_EQ(loaded.last_sequence, commits);
 }
 
 TEST(Manifest, MissingCurrentIsNotFound) {
