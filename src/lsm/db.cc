@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
+#include <deque>
 #include <set>
 #include <thread>
 
@@ -178,80 +179,130 @@ class DbIterator final : public Iterator {
   std::string value_;
 };
 
-// Unlinks `files` and emits one kGcDelete (a = files unlinked, b = micros
-// spent). A file already gone is not a failure; any other failure is
-// returned (the first one) and the file is left for DB::Open to sweep.
-Status UnlinkFiles(Env* env, const std::vector<std::string>& files,
-                   obs::EventRing* ring, uint16_t shard) {
-  Status result;
+// One batch of unlinks, tallied for its kGcDelete event (a = files
+// unlinked, b = micros summed over every RemoveFile). A file already gone is
+// not a failure; the first other failure is kept, and the file is left for
+// DB::Open to sweep.
+struct UnlinkTally {
   uint64_t unlinked = 0;
-  const uint64_t t0 = NowMicros();
-  for (const std::string& fname : files) {
-    const Status s = env->RemoveFile(fname);
+  uint64_t micros = 0;
+  Status status;
+
+  /// Unlinks `fname` without touching the tally; `*micros` gets the time.
+  static Status Remove(Env* env, const std::string& fname, uint64_t* micros) {
+    const uint64_t t0 = NowMicros();
+    Status s = env->RemoveFile(fname);
+    *micros = NowMicros() - t0;
+    return s;
+  }
+  void Record(const Status& s, uint64_t us) {
+    micros += us;
     if (s.ok()) {
       unlinked++;
-    } else if (!s.IsNotFound() && result.ok()) {
-      result = s;
+    } else if (!s.IsNotFound() && status.ok()) {
+      status = s;
     }
   }
-  ring->Emit(obs::EventType::kGcDelete, shard, unlinked, NowMicros() - t0);
-  return result;
+  void Emit(obs::EventRing* ring, uint16_t shard) const {
+    ring->Emit(obs::EventType::kGcDelete, shard, unlinked, micros);
+  }
+};
+
+// Unlinks `files` one after another as one batch; returns the first failure.
+Status UnlinkFiles(Env* env, const std::vector<std::string>& files,
+                   obs::EventRing* ring, uint16_t shard) {
+  UnlinkTally tally;
+  for (const std::string& fname : files) {
+    uint64_t us = 0;
+    const Status s = UnlinkTally::Remove(env, fname, &us);
+    tally.Record(s, us);
+  }
+  tally.Emit(ring, shard);
+  return tally.status;
 }
 
 }  // namespace
 
-// One thread per background-mode DB that unlinks the files jobs and view
-// releases hand it, so no RemoveFile runs under DB::mutex_ (DESIGN.md §2.7).
+// kUnlinkThreads workers per background-mode DB that unlink the files jobs
+// and view releases hand them, so no RemoveFile runs under DB::mutex_
+// (DESIGN.md §2.7). Each worker takes one file at a time, so a batch is
+// unlinked kUnlinkThreads files at a time; the worker that finishes a
+// batch's last file emits its kGcDelete and latches its failure. The
+// workers start with the first batch.
 class DB::Reaper {
  public:
   Reaper(Env* env, obs::EventRing* ring, uint16_t shard,
          std::function<void(const Status&)> on_error)
-      : env_(env),
-        ring_(ring),
-        shard_(shard),
-        on_error_(std::move(on_error)),
-        thread_([this] { Loop(); }) {}
+      : env_(env), ring_(ring), shard_(shard), on_error_(std::move(on_error)) {}
 
   ~Reaper() {
     {
       std::lock_guard<std::mutex> l(mu_);
       stop_ = true;
     }
-    cv_.notify_all();
-    thread_.join();  // Loop() finishes the queue before it exits.
+    work_cv_.notify_all();
+    // Workers finish the queue before they exit.
+    for (std::thread& t : workers_) t.join();
   }
 
-  /// Queues `files`. With `bounded`, first waits until everything queued
-  /// before is unlinked, so deletion debt never exceeds one batch.
+  /// Queues `files` as one batch. With `bounded`, first waits until
+  /// everything queued before is unlinked, so deletion debt never exceeds
+  /// one batch.
   void Add(std::vector<std::string> files, bool bounded) {
     std::unique_lock<std::mutex> l(mu_);
-    if (bounded) cv_.wait(l, [this] { return queue_.empty() && !busy_; });
-    queue_.insert(queue_.end(), std::make_move_iterator(files.begin()),
-                  std::make_move_iterator(files.end()));
-    cv_.notify_all();
+    if (bounded) idle_cv_.wait(l, [this] { return outstanding_ == 0; });
+    if (workers_.empty()) {
+      for (int i = 0; i < kUnlinkThreads; i++) {
+        workers_.emplace_back([this] { Loop(); });
+      }
+    }
+    auto batch = std::make_shared<Batch>();
+    batch->left = files.size();
+    outstanding_ += files.size();
+    for (std::string& fname : files) {
+      queue_.push_back(Unlink{std::move(fname), batch});
+    }
+    work_cv_.notify_all();
   }
 
   /// Blocks until everything handed over so far is unlinked.
   void Drain() {
     std::unique_lock<std::mutex> l(mu_);
-    cv_.wait(l, [this] { return queue_.empty() && !busy_; });
+    idle_cv_.wait(l, [this] { return outstanding_ == 0; });
   }
 
  private:
+  struct Batch {
+    size_t left = 0;  // Files not yet unlinked.
+    UnlinkTally tally;
+  };
+  struct Unlink {
+    std::string fname;
+    std::shared_ptr<Batch> batch;
+  };
+
   void Loop() {
     std::unique_lock<std::mutex> l(mu_);
     while (true) {
-      cv_.wait(l, [this] { return stop_ || !queue_.empty(); });
+      work_cv_.wait(l, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // Stopping with nothing left to do.
-      std::vector<std::string> batch;
-      batch.swap(queue_);
-      busy_ = true;
+      Unlink u = std::move(queue_.front());
+      queue_.pop_front();
       l.unlock();
-      const Status s = UnlinkFiles(env_, batch, ring_, shard_);
-      if (!s.ok()) on_error_(s);
+      uint64_t us = 0;
+      const Status s = UnlinkTally::Remove(env_, u.fname, &us);
       l.lock();
-      busy_ = false;
-      cv_.notify_all();
+      Batch& b = *u.batch;
+      b.tally.Record(s, us);
+      if (--b.left == 0) {
+        // The batch's last file: no other worker touches it any more, and
+        // on_error_ takes DB::mutex_, which must not nest inside mu_.
+        l.unlock();
+        b.tally.Emit(ring_, shard_);
+        if (!b.tally.status.ok()) on_error_(b.tally.status);
+        l.lock();
+      }
+      if (--outstanding_ == 0) idle_cv_.notify_all();
     }
   }
 
@@ -260,11 +311,12 @@ class DB::Reaper {
   const uint16_t shard_;
   const std::function<void(const Status&)> on_error_;
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::string> queue_;
-  bool busy_ = false;
+  std::condition_variable work_cv_;  // Files queued, or stopping.
+  std::condition_variable idle_cv_;  // outstanding_ reached zero.
+  std::deque<Unlink> queue_;
+  size_t outstanding_ = 0;  // Files queued or being unlinked.
   bool stop_ = false;
-  std::thread thread_;  // Last: starts once every field above exists.
+  std::vector<std::thread> workers_;
 };
 
 DB::DB(const DbOptions& options) : options_(options) {
@@ -655,8 +707,20 @@ Status DB::MaybeSyncWal(wal::LogWriter* wal, bool* synced) {
 }
 
 Status DB::CommitGroup(const WriteBatch& my_batch) {
+  // kPut spans the whole call — queue wait, group commit, stall gate,
+  // visibility wait — which is the latency the caller actually observed.
+  obs::ScopedOpTimer put_timer(latency_.get(), obs::OpType::kPut);
   write::Writer w(&my_batch);
-  return CommitWriter(&w);
+  const Status s = CommitWriter(&w);
+  // Under a shared allocator the group's publish may sit above a range
+  // another shard is still committing; ack only once the watermark covers
+  // this write, so a Get issued after the ack sees it (DESIGN.md §3).
+  if (s.ok() && options_.sequence_allocator != nullptr &&
+      my_batch.Count() > 0) {
+    options_.sequence_allocator->WaitVisible(w.base_seq + my_batch.Count() -
+                                             1);
+  }
+  return s;
 }
 
 Status DB::WriteAt(const WriteBatch& batch, SequenceNumber base_seq) {
@@ -668,14 +732,12 @@ Status DB::WriteAt(const WriteBatch& batch, SequenceNumber base_seq) {
   w.preassigned = true;
   w.publish_sequence = false;  // The sharding layer publishes the range.
   w.base_seq = base_seq;
+  obs::ScopedOpTimer put_timer(latency_.get(), obs::OpType::kPut);
   return CommitWriter(&w);
 }
 
 Status DB::CommitWriter(write::Writer* writer) {
   write::Writer& w = *writer;
-  // kPut spans the whole call — queue wait, group commit, stall gate — which
-  // is the latency the caller of Put/Delete/Write actually observed.
-  obs::ScopedOpTimer put_timer(latency_.get(), obs::OpType::kPut);
   if (!write_queue_->JoinAndAwaitLeadership(&w)) {
     // Committed (or failed) by another leader; join_micros is the time this
     // writer sat in the queue before its group's leader took it.

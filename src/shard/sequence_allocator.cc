@@ -18,13 +18,23 @@ void SequenceAllocator::Publish(SequenceNumber base, uint64_t count) {
   // it (a burned range re-published by both a shard and the sharding
   // layer's error path) are tolerated: they advance nothing but must not
   // wedge the merge loop.
-  SequenceNumber visible = visible_.load(std::memory_order_relaxed);
+  const SequenceNumber before = visible_.load(std::memory_order_relaxed);
+  SequenceNumber visible = before;
   auto it = pending_.begin();
   while (it != pending_.end() && it->first <= visible + 1) {
     if (it->second - 1 > visible) visible = it->second - 1;
     it = pending_.erase(it);
   }
   visible_.store(visible, std::memory_order_release);
+  if (visible != before) advanced_.notify_all();
+}
+
+void SequenceAllocator::WaitVisible(SequenceNumber seq) {
+  if (visible() >= seq) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  advanced_.wait(lock, [this, seq] {
+    return visible_.load(std::memory_order_relaxed) >= seq;
+  });
 }
 
 void SequenceAllocator::Reset(SequenceNumber last) {

@@ -19,6 +19,10 @@
 // the write error anyway, and an unpublished hole would wedge the watermark
 // for every other shard.
 //
+// A range published above a hole is applied but not yet visible, so a
+// commit acknowledges its writer only after WaitVisible covers its range:
+// a read issued after the ack then always sees the write.
+//
 // With a single shard the claim and publish of one group always complete
 // before the next group claims (queue leadership serializes them), so
 // visible() == last published sequence — exactly the single-engine
@@ -28,6 +32,7 @@
 #define TALUS_SHARD_SEQUENCE_ALLOCATOR_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -57,6 +62,11 @@ class SequenceAllocator {
     return visible_.load(std::memory_order_acquire);
   }
 
+  /// Blocks until visible() >= `seq`. Every range at or below `seq` must
+  /// already be claimed by a commit that publishes it without waiting on
+  /// the caller.
+  void WaitVisible(SequenceNumber seq);
+
   /// Recovery: restarts allocation after `last` with the watermark at
   /// `last`. Must not race Claim/Publish (callers quiesce first).
   void Reset(SequenceNumber last);
@@ -67,6 +77,7 @@ class SequenceAllocator {
   // Published ranges above the watermark, keyed by base → end (exclusive),
   // awaiting the gap below them to fill.
   std::map<SequenceNumber, SequenceNumber> pending_;
+  std::condition_variable advanced_;  // The watermark moved.
   std::atomic<SequenceNumber> visible_{0};
 };
 

@@ -263,6 +263,8 @@ Status ShardedDB::Write(const WriteBatch& batch) {
   for (const Status& ws : results) {
     if (!ws.ok()) return ws;
   }
+  // Ranges claimed before `base` may still be committing in other shards.
+  alloc_.WaitVisible(base + total - 1);
   return Status::OK();
 }
 

@@ -18,6 +18,11 @@
 // per-shard error can leave the batch partially applied, exactly like a
 // multi-store transaction without 2PC.
 //
+// An acknowledged write is visible: Put, Delete and Write return OK only
+// once the allocator's watermark covers the write's sequences, so a Get or
+// snapshot taken after the ack sees it. A commit whose range sits above
+// another shard's still-unpublished one waits for that shard.
+//
 // shard_count == 1 behaves bit-identically to a standalone DB (same scan
 // results, same talus.stats text) — the allocator degenerates to the
 // single-engine last_sequence_ and GetProperty passes straight through.

@@ -1,7 +1,7 @@
-// Obsolete-file deletion in background mode: the reaper thread unlinks what
-// flushes, compactions and view releases let go of, and FlushMemTable,
-// CompactAll and ~DB drain it — so a quiesced directory holds exactly the
-// live files.
+// Obsolete-file deletion in background mode: the reaper's workers unlink
+// what flushes, compactions and view releases let go of, at most
+// DB::kUnlinkThreads at a time, and FlushMemTable, CompactAll and ~DB drain
+// them — so a quiesced directory holds exactly the live files.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,21 +24,38 @@ constexpr char kPath[] = "/gc";
 
 // Unlinks cost 2 ms, as on the benchmark's device model, so batches are
 // still in flight when a test looks. Counts unlinks made on one watched
-// thread.
+// thread, the most unlinks ever in flight at once, and how many were in
+// flight when the first one failed.
 class SlowUnlinkEnv : public FaultInjectionEnv {
  public:
   using FaultInjectionEnv::FaultInjectionEnv;
   Status RemoveFile(const std::string& fname) override {
     if (std::this_thread::get_id() == watched_.load()) watched_unlinks_++;
+    const int in_flight = ++in_flight_;
+    int peak = max_in_flight_.load();
+    while (in_flight > peak &&
+           !max_in_flight_.compare_exchange_weak(peak, in_flight)) {
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    return FaultInjectionEnv::RemoveFile(fname);
+    Status s = FaultInjectionEnv::RemoveFile(fname);
+    if (!s.ok()) {
+      int none = 0;
+      in_flight_at_failure_.compare_exchange_strong(none, in_flight_.load());
+    }
+    in_flight_--;
+    return s;
   }
   void Watch(std::thread::id id) { watched_ = id; }
   int watched_unlinks() const { return watched_unlinks_; }
+  int max_in_flight() const { return max_in_flight_; }
+  int in_flight_at_failure() const { return in_flight_at_failure_; }
 
  private:
   std::atomic<std::thread::id> watched_{};
   std::atomic<int> watched_unlinks_{0};
+  std::atomic<int> in_flight_{0};
+  std::atomic<int> max_in_flight_{0};
+  std::atomic<int> in_flight_at_failure_{0};
 };
 
 DbOptions Opts(Env* env) {
@@ -218,6 +235,61 @@ TEST(FileGc, CommitAndUnlinkEventsCarryTimings) {
   std::string events;
   ASSERT_TRUE(db->GetProperty("talus.events", &events));
   EXPECT_NE(events.find("event=manifest_commit"), std::string::npos);
+}
+
+// The workers unlink a batch in parallel, never more files at once than
+// there are workers.
+TEST(FileGc, UnlinksRunInParallelUpToTheWorkerCount) {
+  auto base = NewMemEnv();
+  SlowUnlinkEnv env(base.get());
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(Opts(&env), &db).ok());
+  WriteConcurrently(db.get(), 800);
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  EXPECT_GE(env.max_in_flight(), 2);
+  EXPECT_LE(env.max_in_flight(), DB::kUnlinkThreads);
+  ExpectOnlyLiveFiles(&env, db.get(), "after FlushMemTable");
+}
+
+// An unlink failing while others of its batch are in flight latches one
+// background error, which writers then get; draining and closing still
+// finish, and the next Open sweeps the files left behind.
+TEST(FileGc, FailedParallelUnlinkLatchesTheBackgroundError) {
+  auto base = NewMemEnv();
+  SlowUnlinkEnv env(base.get());
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(Opts(&env), &db).ok());
+    WriteConcurrently(db.get(), 800);
+    ASSERT_TRUE(db->FlushMemTable().ok());
+    ASSERT_GE(TablesOf(db->current_version()).size(), 8u);
+    // CompactAll replaces every table and hands them over as one batch;
+    // its third unlink fails, and so does every unlink after it. The
+    // unlinks run after its install, so the failure reaches writers
+    // through the background error, not through CompactAll's status.
+    env.FailAt(FaultInjectionEnv::Op::kRemove, ".sst", 2);
+    (void)db->CompactAll();  // Drains the reaper: the failure is latched.
+    ASSERT_TRUE(env.failing());
+    EXPECT_GE(env.in_flight_at_failure(), 2);
+
+    const Status s = db->Put(Key(1), "after");
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_NE(s.ToString().find("injected remove failure"), std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(db->Put(Key(2), "after").ToString(), s.ToString());
+    EXPECT_EQ(db->FlushMemTable().ToString(), s.ToString());
+  }  // ~DB drains and joins the workers with every unlink still failing.
+  env.Disarm();
+
+  const DirContents orphaned = ListDir(&env);
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(Opts(&env), &db).ok());
+  EXPECT_LT(TablesOf(db->current_version()).size(), orphaned.ssts.size());
+  ExpectOnlyLiveFiles(&env, db.get(), "after reopen");
+  std::string value;
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(db->Get(Key(i), &value).ok()) << i;
+  }
 }
 
 }  // namespace

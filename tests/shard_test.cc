@@ -1,10 +1,13 @@
 // Range-sharded frontend (src/shard/, DESIGN.md §3): routing and split
 // points, the global sequence watermark, shard_count=1 bit-equality with the
 // plain engine, cross-shard snapshot & iterator consistency under concurrent
-// writers, and parallel recovery after a simulated crash mid-write.
+// writers, acknowledged writes staying visible while another shard commits,
+// and parallel recovery after a simulated crash mid-write.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <set>
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "env/env.h"
+#include "env/fault_env.h"
 #include "lsm/db.h"
 #include "shard/sequence_allocator.h"
 #include "shard/shard_manifest.h"
@@ -357,6 +361,109 @@ TEST(ShardedDB, IteratorPinsOneGlobalSequence) {
   }
   ASSERT_TRUE(iter->status().ok());
   EXPECT_EQ(seen, 1000u);
+}
+
+// ---- Acknowledged writes are visible ----------------------------------------
+
+// Once armed, holds every WAL Sync of a path containing `fragment` until
+// Release().
+class SyncGateEnv : public FaultInjectionEnv {
+ public:
+  SyncGateEnv(Env* base, std::string fragment)
+      : FaultInjectionEnv(base), fragment_(std::move(fragment)) {}
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    Status s = FaultInjectionEnv::NewWritableFile(fname, result);
+    if (s.ok() && fname.find(fragment_) != std::string::npos &&
+        fname.size() > 4 && fname.compare(fname.size() - 4, 4, ".wal") == 0) {
+      *result = std::make_unique<GatedFile>(std::move(*result), this);
+    }
+    return s;
+  }
+  void Arm() {
+    std::lock_guard<std::mutex> l(mu_);
+    armed_ = true;
+  }
+  void Release() {
+    std::lock_guard<std::mutex> l(mu_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+  /// Blocks until a Sync is held at the gate.
+  void AwaitHeld() {
+    std::unique_lock<std::mutex> l(mu_);
+    cv_.wait(l, [this] { return held_ > 0; });
+  }
+
+ private:
+  class GatedFile : public WritableFile {
+   public:
+    GatedFile(std::unique_ptr<WritableFile> base, SyncGateEnv* env)
+        : base_(std::move(base)), env_(env) {}
+    Status Append(const Slice& data) override { return base_->Append(data); }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      env_->Pass();
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    SyncGateEnv* env_;
+  };
+
+  void Pass() {
+    std::unique_lock<std::mutex> l(mu_);
+    if (!armed_) return;
+    held_++;
+    cv_.notify_all();
+    cv_.wait(l, [this] { return !armed_; });
+  }
+
+  const std::string fragment_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  int held_ = 0;
+};
+
+// Shard 0's commit claims a lower sequence and then sits in its WAL sync.
+// A shard-1 write claimed above it is applied, but the watermark cannot
+// cover it yet, so it must not be acknowledged: a Get issued after the ack
+// would miss it.
+TEST(ShardedDB, AckedWriteIsVisibleWhileAnEarlierShardCommitIsInFlight) {
+  auto base = NewMemEnv();
+  SyncGateEnv env(base.get(), "/shard-000/");
+  DbOptions opts = Opts(&env, "/visible");
+  opts.shard_count = 2;
+  opts.shard_split_points = SplitPoints(2, 1000);
+  opts.execution_mode = ExecutionMode::kBackground;
+  opts.wal_sync_mode = WalSyncMode::kPerGroup;
+  std::unique_ptr<shard::ShardedDB> db;
+  ASSERT_TRUE(shard::ShardedDB::Open(opts, &db).ok());
+
+  env.Arm();
+  std::thread early([&db] { EXPECT_TRUE(db->Put(Key(1), "early").ok()); });
+  env.AwaitHeld();
+  std::atomic<bool> acked{false};
+  Status get_after_ack;
+  std::string value;
+  std::thread late([&] {
+    EXPECT_TRUE(db->Put(Key(600), "late").ok());
+    acked = true;
+    get_after_ack = db->Get(Key(600), &value);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(acked.load()) << "acknowledged before shard 0 published";
+  env.Release();
+  early.join();
+  late.join();
+  ASSERT_TRUE(get_after_ack.ok()) << get_after_ack.ToString();
+  EXPECT_EQ(value, "late");
+  ASSERT_TRUE(db->Get(Key(1), &value).ok());
+  EXPECT_EQ(value, "early");
 }
 
 // ---- Parallel recovery after a simulated crash -----------------------------
