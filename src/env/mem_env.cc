@@ -58,7 +58,7 @@ class MemRandomAccessFile final : public RandomAccessFile {
       : file_(std::move(file)), stats_(stats) {}
 
   Status Read(uint64_t offset, size_t n, Slice* result,
-              char* scratch) const override {
+              char* /*scratch*/) const override {
     std::lock_guard<std::mutex> l(file_->mu);
     const std::string& c = file_->contents;
     if (offset > c.size()) {
@@ -81,7 +81,7 @@ class MemSequentialFile final : public SequentialFile {
   MemSequentialFile(std::shared_ptr<FileState> file, IoStats* stats)
       : file_(std::move(file)), stats_(stats) {}
 
-  Status Read(size_t n, Slice* result, char* scratch) override {
+  Status Read(size_t n, Slice* result, char* /*scratch*/) override {
     std::lock_guard<std::mutex> l(file_->mu);
     const std::string& c = file_->contents;
     if (pos_ >= c.size()) {
@@ -165,7 +165,7 @@ class MemEnv final : public Env {
     return Status::OK();
   }
 
-  Status CreateDirIfMissing(const std::string& dirname) override {
+  Status CreateDirIfMissing(const std::string& /*dirname*/) override {
     return Status::OK();  // Directories are implicit in the flat namespace.
   }
 

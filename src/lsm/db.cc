@@ -245,12 +245,19 @@ class DB::Reaper {
     for (std::thread& t : workers_) t.join();
   }
 
-  /// Queues `files` as one batch. With `bounded`, first waits until
-  /// everything queued before is unlinked, so deletion debt never exceeds
-  /// one batch.
+  /// Queues `files` as one batch. With `bounded`, first waits while more
+  /// than kMaxUnlinkDebt files are outstanding, so deletion debt never
+  /// exceeds the cap plus the batch being handed over; a wait emits one
+  /// kGcWait (a = files outstanding on entry, b = micros waited).
   void Add(std::vector<std::string> files, bool bounded) {
     std::unique_lock<std::mutex> l(mu_);
-    if (bounded) idle_cv_.wait(l, [this] { return outstanding_ == 0; });
+    uint64_t debt = 0, waited_us = 0;
+    if (bounded && outstanding_ > kMaxUnlinkDebt) {
+      debt = outstanding_;
+      const uint64_t t0 = NowMicros();
+      done_cv_.wait(l, [this] { return outstanding_ <= kMaxUnlinkDebt; });
+      waited_us = NowMicros() - t0;
+    }
     if (workers_.empty()) {
       for (int i = 0; i < kUnlinkThreads; i++) {
         workers_.emplace_back([this] { Loop(); });
@@ -263,12 +270,14 @@ class DB::Reaper {
       queue_.push_back(Unlink{std::move(fname), batch});
     }
     work_cv_.notify_all();
+    l.unlock();
+    if (debt > 0) ring_->Emit(obs::EventType::kGcWait, shard_, debt, waited_us);
   }
 
   /// Blocks until everything handed over so far is unlinked.
   void Drain() {
     std::unique_lock<std::mutex> l(mu_);
-    idle_cv_.wait(l, [this] { return outstanding_ == 0; });
+    done_cv_.wait(l, [this] { return outstanding_ == 0; });
   }
 
  private:
@@ -302,7 +311,9 @@ class DB::Reaper {
         if (!b.tally.status.ok()) on_error_(b.tally.status);
         l.lock();
       }
-      if (--outstanding_ == 0) idle_cv_.notify_all();
+      if (--outstanding_ == kMaxUnlinkDebt || outstanding_ == 0) {
+        done_cv_.notify_all();
+      }
     }
   }
 
@@ -312,7 +323,8 @@ class DB::Reaper {
   const std::function<void(const Status&)> on_error_;
   std::mutex mu_;
   std::condition_variable work_cv_;  // Files queued, or stopping.
-  std::condition_variable idle_cv_;  // outstanding_ reached zero.
+  // outstanding_ fell to kMaxUnlinkDebt (bounded hand-offs) or to zero.
+  std::condition_variable done_cv_;
   std::deque<Unlink> queue_;
   size_t outstanding_ = 0;  // Files queued or being unlinked.
   bool stop_ = false;
@@ -1400,7 +1412,19 @@ Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock,
     EnsurePaddedLocked(
         static_cast<size_t>(std::max(1, policy_->RequiredLevels(*current_))));
     auto req = policy_->PickCompaction(*current_);
-    if (!req.has_value()) return ReapLocked(lock);
+    if (!req.has_value()) {
+      if (!background) return ReapLocked(lock);
+      // Exit only from a pick made under the mutex the caller clears
+      // compaction_active_ under. A reap hands its batch over with the
+      // mutex released, and a flush installing in that window schedules a
+      // compaction that sees this chain active and returns — so pick again
+      // after it.
+      CollectObsoleteLocked();
+      if (unlink_batch_.empty()) return Status::OK();
+      Status s = ReapLocked(lock);
+      if (!s.ok()) return s;
+      continue;
+    }
     // Forward-progress valve: optimistic (off-mutex) merges can in
     // principle conflict every round under a hostile flush cadence. After
     // a few consecutive conflicts run one merge under the mutex — it

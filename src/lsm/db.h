@@ -27,7 +27,10 @@
 // happens with the mutex held. That is one append + sync of the MANIFEST
 // log per install (lsm/manifest.h); unlinking obsolete SSTs, retired WALs
 // and rolled MANIFESTs happens off the mutex on a per-DB reaper, a fixed
-// set of kUnlinkThreads workers, in background mode (DESIGN.md §2.7).
+// set of kUnlinkThreads workers, in background mode (DESIGN.md §2.7). Jobs
+// wait for the reaper only while more than kMaxUnlinkDebt files are still
+// to be unlinked, so a flush never queues behind a large compaction's
+// batch.
 #ifndef TALUS_LSM_DB_H_
 #define TALUS_LSM_DB_H_
 
@@ -206,6 +209,10 @@ class DB {
   /// Threads a background-mode DB unlinks obsolete files on. A constant,
   /// not an option: the measured gain levels off here (DESIGN.md §2.7).
   static constexpr int kUnlinkThreads = 4;
+  /// Files handed to those threads but not unlinked yet beyond which a
+  /// flush or compaction job waits before handing over its own batch.
+  /// Smaller jobs never queue behind a large one (DESIGN.md §2.7).
+  static constexpr size_t kMaxUnlinkDebt = 128;
 
   static Status Open(const DbOptions& options, std::unique_ptr<DB>* dbptr);
   ~DB();
@@ -451,9 +458,10 @@ class DB {
   void CollectObsoleteLocked();
   /// Collects, then unlinks unlink_batch_: inline, synchronously under the
   /// mutex (returning the first failure); in background mode by handing it
-  /// to the reaper with the mutex released — when `bounded`, only after the
-  /// reaper finished the previous batch, so deletion debt never exceeds one
-  /// batch.
+  /// to the reaper with the mutex released — when `bounded`, only once at
+  /// most kMaxUnlinkDebt files are outstanding, so deletion debt never
+  /// exceeds the cap plus one batch. With nothing to unlink the mutex is
+  /// never released.
   Status ReapLocked(std::unique_lock<std::mutex>& lock, bool bounded = true);
   /// Blocks until the reaper has unlinked everything handed to it (no-op in
   /// inline mode). Called without the mutex.

@@ -22,6 +22,7 @@ const char* EventTypeName(EventType type) {
     case EventType::kModelDrift: return "model_drift";
     case EventType::kPolicyChange: return "policy_change";
     case EventType::kManifestCommit: return "manifest_commit";
+    case EventType::kGcWait: return "gc_wait";
   }
   return "unknown";
 }

@@ -37,8 +37,10 @@ enum class EventType : uint8_t {
   kModelDrift,          // a: drift score (milli), b: mix shift (milli)
   kPolicyChange,        // a: 1 tiering / 0 leveling, b: size ratio (milli)
   kManifestCommit,      // a: record bytes, b: micros (append + sync, or roll)
+  kGcWait,              // a: files outstanding on entry, b: micros a job
+                        // waited for the reaper before handing over
 };
-constexpr int kNumEventTypes = 15;
+constexpr int kNumEventTypes = 16;
 
 const char* EventTypeName(EventType type);
 

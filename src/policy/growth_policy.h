@@ -11,6 +11,14 @@
 //     policy->OnCompactionCompleted(*req, version);
 //   }
 //
+// That is the inline engine, where every flush is followed by a pick that
+// runs to quiescence. In background mode flushes and the compaction chain
+// run as separate jobs (DESIGN.md §2.2), so OnFlushCompleted may run several
+// times between two picks while the chain is busy merging. A policy must
+// then fold each flush's trigger into the one not picked yet, never
+// overwrite it: a dropped cascade leaves its level-0 runs to pile up until
+// some later trigger or a stall catches them (HorizontalCounters::FoldFlush).
+//
 // Everything the paper varies — vertical vs horizontal growth, leveling vs
 // tiering merges, full vs partial granularity, counters, self-tuning — lives
 // behind this interface.
@@ -91,6 +99,8 @@ class GrowthPolicy {
   /// Number of levels the policy currently wants the version to expose.
   virtual int RequiredLevels(const Version& v) const = 0;
 
+  /// Called once per installed flush. May run several times before the
+  /// next PickCompaction (background mode); triggers must accumulate.
   virtual void OnFlushCompleted(const Version& /*v*/) {}
   virtual void OnCompactionCompleted(const CompactionRequest& /*req*/,
                                      const Version& /*v*/) {}

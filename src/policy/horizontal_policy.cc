@@ -44,6 +44,10 @@ int HorizontalCounters::OnFlush() {
   return cascade_end;
 }
 
+void HorizontalCounters::FoldFlush(int* pending) {
+  *pending = std::max(*pending, OnFlush());
+}
+
 bool HorizontalCounters::Drained() const {
   for (uint64_t c : counters_) {
     if (c != 0) return false;
@@ -106,14 +110,14 @@ std::optional<CompactionRequest> MakeCascadeRequest(const Version& v,
 // ---------------------------------------------------------------------------
 
 HorizontalLevelingPolicy::HorizontalLevelingPolicy(
-    const GrowthPolicyConfig& config, const PolicyContext& ctx)
+    const GrowthPolicyConfig& config, const PolicyContext& /*ctx*/)
     : config_(config),
       counters_(config.horizontal_levels, /*tiering=*/false, 0,
                 config.skew_adaptation ? theory::SkewDelta(config.skew_alpha)
                                        : 0) {}
 
-void HorizontalLevelingPolicy::OnFlushCompleted(const Version& v) {
-  pending_cascade_ = counters_.OnFlush();
+void HorizontalLevelingPolicy::OnFlushCompleted(const Version& /*v*/) {
+  counters_.FoldFlush(&pending_cascade_);
 }
 
 std::optional<CompactionRequest> HorizontalLevelingPolicy::PickCompaction(
@@ -182,8 +186,8 @@ HorizontalTieringPolicy::HorizontalTieringPolicy(
       k_(InitialK(config, ctx.buffer_bytes)),
       counters_(config.horizontal_levels, /*tiering=*/true, k_, 0) {}
 
-void HorizontalTieringPolicy::OnFlushCompleted(const Version& v) {
-  pending_cascade_ = counters_.OnFlush();
+void HorizontalTieringPolicy::OnFlushCompleted(const Version& /*v*/) {
+  counters_.FoldFlush(&pending_cascade_);
   if (counters_.Drained()) {
     // Data exceeded the configured estimate: continue the pattern one
     // granularity coarser (larger data ⇒ larger k, §4.2).

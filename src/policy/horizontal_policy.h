@@ -36,6 +36,12 @@ class HorizontalCounters {
   /// Processes one flush; returns the cascade end level e ≥ 0 (levels
   /// [0..e] should merge into e+1) or -1 when no compaction triggers.
   int OnFlush();
+  /// Processes one flush and folds its cascade into `*pending`, the end of
+  /// a cascade not picked yet (-1: none). A cascade over [0..e] merges
+  /// whole levels, so it covers any shorter one: the fold keeps the larger
+  /// end. Overwriting instead would drop a trigger whenever several flushes
+  /// complete between two picks (background mode, growth_policy.h).
+  void FoldFlush(int* pending);
 
   bool Drained() const;
   void Rearm(uint64_t init_value);
@@ -59,10 +65,10 @@ class HorizontalLevelingPolicy : public GrowthPolicy {
                            const PolicyContext& ctx);
 
   std::string name() const override { return "horizontal-leveling"; }
-  MergeMode FlushMode(const Version& v) const override {
+  MergeMode FlushMode(const Version& /*v*/) const override {
     return MergeMode::kMergeIntoRun;
   }
-  int RequiredLevels(const Version& v) const override {
+  int RequiredLevels(const Version& /*v*/) const override {
     return config_.horizontal_levels;
   }
   void OnFlushCompleted(const Version& v) override;
@@ -83,10 +89,10 @@ class HorizontalTieringPolicy : public GrowthPolicy {
                           const PolicyContext& ctx);
 
   std::string name() const override { return "horizontal-tiering"; }
-  MergeMode FlushMode(const Version& v) const override {
+  MergeMode FlushMode(const Version& /*v*/) const override {
     return MergeMode::kNewRun;
   }
-  int RequiredLevels(const Version& v) const override {
+  int RequiredLevels(const Version& /*v*/) const override {
     return config_.horizontal_levels;
   }
   void OnFlushCompleted(const Version& v) override;

@@ -31,7 +31,7 @@ uint64_t LazyLevelingPolicy::UpperCapacityBytes() const {
 
 void LazyLevelingPolicy::OnFlushCompleted(const Version& v) {
   if (!config_.lazy_embed_vertiorizon) return;
-  pending_cascade_ = counters_.OnFlush();
+  counters_.FoldFlush(&pending_cascade_);
 
   // Horizontal part full → clear into the leveled last level.
   uint64_t upper_bytes = 0;
@@ -91,7 +91,7 @@ std::optional<CompactionRequest> LazyLevelingPolicy::PickCompaction(
 }
 
 void LazyLevelingPolicy::OnCompactionCompleted(const CompactionRequest& req,
-                                               const Version& v) {
+                                               const Version& /*v*/) {
   if (!config_.lazy_embed_vertiorizon) return;
   if (req.reason.rfind("lazy-embedded-clear", 0) == 0) {
     counters_.Rearm(k_);  // New phase for the emptied horizontal part.

@@ -25,10 +25,10 @@ class LazyLevelingPolicy : public GrowthPolicy {
     return config_.lazy_embed_vertiorizon ? "lazy-leveling-vertiorizon"
                                           : "lazy-leveling";
   }
-  MergeMode FlushMode(const Version& v) const override {
+  MergeMode FlushMode(const Version& /*v*/) const override {
     return MergeMode::kNewRun;
   }
-  int RequiredLevels(const Version& v) const override {
+  int RequiredLevels(const Version& /*v*/) const override {
     return config_.lazy_levels;
   }
   void OnFlushCompleted(const Version& v) override;

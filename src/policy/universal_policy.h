@@ -19,14 +19,15 @@ namespace talus {
 
 class UniversalPolicy : public GrowthPolicy {
  public:
-  UniversalPolicy(const GrowthPolicyConfig& config, const PolicyContext& ctx)
+  UniversalPolicy(const GrowthPolicyConfig& config,
+                  const PolicyContext& /*ctx*/)
       : config_(config) {}
 
   std::string name() const override { return "universal"; }
-  MergeMode FlushMode(const Version& v) const override {
+  MergeMode FlushMode(const Version& /*v*/) const override {
     return MergeMode::kNewRun;
   }
-  int RequiredLevels(const Version& v) const override { return 1; }
+  int RequiredLevels(const Version& /*v*/) const override { return 1; }
   std::optional<CompactionRequest> PickCompaction(const Version& v) override;
 
  private:

@@ -19,7 +19,7 @@ std::string VerticalPolicy::name() const {
   return n;
 }
 
-MergeMode VerticalPolicy::FlushMode(const Version& v) const {
+MergeMode VerticalPolicy::FlushMode(const Version& /*v*/) const {
   return config_.merge == MergePolicy::kLeveling ? MergeMode::kMergeIntoRun
                                                  : MergeMode::kNewRun;
 }

@@ -34,7 +34,7 @@ std::string VertiorizonPolicy::name() const {
              : "vertiorizon-fixed-leveling";
 }
 
-MergeMode VertiorizonPolicy::FlushMode(const Version& v) const {
+MergeMode VertiorizonPolicy::FlushMode(const Version& /*v*/) const {
   return h_merge_ == MergePolicy::kTiering ? MergeMode::kNewRun
                                            : MergeMode::kMergeIntoRun;
 }
@@ -109,7 +109,7 @@ void VertiorizonPolicy::RearmCounters() {
 }
 
 void VertiorizonPolicy::OnFlushCompleted(const Version& v) {
-  pending_cascade_ = counters_.OnFlush();
+  counters_.FoldFlush(&pending_cascade_);
   if (HorizontalBytes(v) >= HorizontalCapacityBytes()) {
     pending_clear_ = true;
     pending_cascade_ = -1;  // Superseded by the clear.
@@ -180,7 +180,7 @@ std::optional<CompactionRequest> VertiorizonPolicy::PickCompaction(
 }
 
 void VertiorizonPolicy::OnCompactionCompleted(const CompactionRequest& req,
-                                              const Version& v) {
+                                              const Version& /*v*/) {
   if (req.reason.rfind("vertiorizon-clear", 0) != 0) return;
   // Clear boundary: the horizontal part is empty — the free moment to
   // resize and redesign (§5.1, §5.2).

@@ -37,7 +37,7 @@ class VertiorizonPolicy : public GrowthPolicy {
 
   std::string name() const override;
   MergeMode FlushMode(const Version& v) const override;
-  int RequiredLevels(const Version& v) const override {
+  int RequiredLevels(const Version& /*v*/) const override {
     return kMaxHorizontalLevels + 2;
   }
   void OnFlushCompleted(const Version& v) override;

@@ -121,7 +121,9 @@ TEST(CompactionPlannerTest, PicksBoundedIncreasingBoundaries) {
   for (size_t i = 0; i < plan.boundaries.size(); i++) {
     EXPECT_GT(plan.boundaries[i], plan.min_user);
     EXPECT_LE(plan.boundaries[i], plan.max_user);
-    if (i > 0) EXPECT_LT(plan.boundaries[i - 1], plan.boundaries[i]);
+    if (i > 0) {
+      EXPECT_LT(plan.boundaries[i - 1], plan.boundaries[i]);
+    }
   }
   // With equal-size files the cuts land on file boundaries, ~evenly.
   EXPECT_EQ(plan.boundaries.size(), 3u);

@@ -352,7 +352,9 @@ TEST(ExecDbTest, ConcurrentReadersSeeConsistentState) {
         std::string value;
         Status s = db->Get(workload::FormatKey(rnd.Uniform(200), 16), &value);
         ASSERT_TRUE(s.ok() || s.IsNotFound());
-        if (s.ok()) ASSERT_FALSE(value.empty());
+        if (s.ok()) {
+          ASSERT_FALSE(value.empty());
+        }
       }
     });
   }

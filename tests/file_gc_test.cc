@@ -1,11 +1,17 @@
 // Obsolete-file deletion in background mode: the reaper's workers unlink
 // what flushes, compactions and view releases let go of, at most
 // DB::kUnlinkThreads at a time, and FlushMemTable, CompactAll and ~DB drain
-// them — so a quiesced directory holds exactly the live files.
+// them — so a quiesced directory holds exactly the live files. Jobs wait for
+// the workers only while more than DB::kMaxUnlinkDebt files are outstanding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdlib>
+#include <functional>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,11 +31,19 @@ constexpr char kPath[] = "/gc";
 // Unlinks cost 2 ms, as on the benchmark's device model, so batches are
 // still in flight when a test looks. Counts unlinks made on one watched
 // thread, the most unlinks ever in flight at once, and how many were in
-// flight when the first one failed.
+// flight when the first one failed. Two latches order a test's steps: one
+// holds every unlink (handed-over files stay outstanding), the other lets
+// only a given number of table files be created.
 class SlowUnlinkEnv : public FaultInjectionEnv {
  public:
   using FaultInjectionEnv::FaultInjectionEnv;
   Status RemoveFile(const std::string& fname) override {
+    {
+      std::unique_lock<std::mutex> l(latch_mu_);
+      held_unlinks_++;
+      latch_cv_.wait(l, [this] { return !hold_unlinks_; });
+      held_unlinks_--;
+    }
     if (std::this_thread::get_id() == watched_.load()) watched_unlinks_++;
     const int in_flight = ++in_flight_;
     int peak = max_in_flight_.load();
@@ -45,12 +59,54 @@ class SlowUnlinkEnv : public FaultInjectionEnv {
     in_flight_--;
     return s;
   }
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    if (fname.size() > 4 && fname.compare(fname.size() - 4, 4, ".sst") == 0) {
+      std::unique_lock<std::mutex> l(latch_mu_);
+      waiting_tables_++;
+      latch_cv_.wait(l, [this] { return tables_allowed_ > 0; });
+      waiting_tables_--;
+      tables_allowed_--;
+    }
+    return FaultInjectionEnv::NewWritableFile(fname, result);
+  }
+
   void Watch(std::thread::id id) { watched_ = id; }
   int watched_unlinks() const { return watched_unlinks_; }
   int max_in_flight() const { return max_in_flight_; }
   int in_flight_at_failure() const { return in_flight_at_failure_; }
 
+  /// While held, every RemoveFile waits for ReleaseUnlinks().
+  void HoldUnlinks() { SetLatch([this] { hold_unlinks_ = true; }); }
+  void ReleaseUnlinks() { SetLatch([this] { hold_unlinks_ = false; }); }
+  /// Unlinks waiting on the hold.
+  int held_unlinks() { return Read([this] { return held_unlinks_; }); }
+  /// Lets `n` more table files be created; later creations wait.
+  void AllowTables(int n) { SetLatch([this, n] { tables_allowed_ = n; }); }
+  void OpenTables() { AllowTables(1 << 30); }
+  /// Table creations waiting for AllowTables.
+  int waiting_tables() { return Read([this] { return waiting_tables_; }); }
+
  private:
+  void SetLatch(const std::function<void()>& set) {
+    {
+      std::lock_guard<std::mutex> l(latch_mu_);
+      set();
+    }
+    latch_cv_.notify_all();
+  }
+  int Read(const std::function<int()>& get) {
+    std::lock_guard<std::mutex> l(latch_mu_);
+    return get();
+  }
+
+  std::mutex latch_mu_;
+  std::condition_variable latch_cv_;
+  bool hold_unlinks_ = false;
+  int held_unlinks_ = 0;
+  int tables_allowed_ = 1 << 30;
+  int waiting_tables_ = 0;
+
   std::atomic<std::thread::id> watched_{};
   std::atomic<int> watched_unlinks_{0};
   std::atomic<int> in_flight_{0};
@@ -72,6 +128,35 @@ DbOptions Opts(Env* env) {
 }
 
 std::string Key(int i) { return workload::FormatKey(i, 16); }
+
+// Polls `done` for up to 20 s; a step that never happens fails the test
+// instead of hanging it.
+bool Eventually(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// The counter `key`=N in a property, after the first `scope` ("" = from the
+// start); e.g. Counter(db, "talus.exec", "flush{", "completed").
+uint64_t Counter(DB* db, const std::string& property, const std::string& scope,
+                 const std::string& key) {
+  std::string text;
+  EXPECT_TRUE(db->GetProperty(property, &text));
+  const size_t from = text.find(scope);
+  const size_t at = text.find(" " + key + "=", from == std::string::npos
+                                                   ? text.size()
+                                                   : from);
+  if (from == std::string::npos || at == std::string::npos) {
+    ADD_FAILURE() << key << " not in " << property << ": " << text;
+    return 0;
+  }
+  return std::strtoull(text.c_str() + at + key.size() + 2, nullptr, 10);
+}
 
 // 4 writers overwriting a shared key range: many flushes, compactions and
 // obsolete files while the reaper runs.
@@ -290,6 +375,177 @@ TEST(FileGc, FailedParallelUnlinkLatchesTheBackgroundError) {
   for (int i = 0; i < 2000; i++) {
     ASSERT_TRUE(db->Get(Key(i), &value).ok()) << i;
   }
+}
+
+// With every unlink held, jobs keep handing files over until more than
+// kMaxUnlinkDebt are outstanding, and then wait. Each wait is one gc_wait
+// event carrying the debt it found, which never exceeds the cap plus the
+// batch being handed over.
+TEST(FileGc, UnlinkDebtStaysUnderTheCap) {
+  auto base = NewMemEnv();
+  SlowUnlinkEnv env(base.get());
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(Opts(&env), &db).ok());
+  env.HoldUnlinks();
+  std::thread writers([&db] { WriteConcurrently(db.get(), 1500); });
+  // Files handed over so far: the tables collected for unlinking plus one
+  // retired WAL per flush. Past the cap, the next job's hand-off waits.
+  const bool over_cap = Eventually([&db] {
+    return Counter(db.get(), "talus.stats", "", "gc_deleted") +
+               Counter(db.get(), "talus.stats", "", "bg_flushes") >
+           DB::kMaxUnlinkDebt;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  env.ReleaseUnlinks();
+  writers.join();
+  ASSERT_TRUE(over_cap);
+  ASSERT_TRUE(db->FlushMemTable().ok());
+
+  uint64_t waits = 0, largest_batch = 0;
+  std::vector<uint64_t> debts;
+  for (const obs::Event& e : db->event_ring()->Snapshot()) {
+    if (e.type == obs::EventType::kGcWait) {
+      waits++;
+      debts.push_back(e.a);
+    } else if (e.type == obs::EventType::kGcDelete) {
+      largest_batch = std::max(largest_batch, e.a);
+    }
+  }
+  EXPECT_GE(waits, 1u);
+  for (uint64_t debt : debts) {
+    EXPECT_GT(debt, DB::kMaxUnlinkDebt);
+    EXPECT_LE(debt, DB::kMaxUnlinkDebt + largest_batch);
+  }
+  std::string events;
+  ASSERT_TRUE(db->GetProperty("talus.events", &events));
+  EXPECT_NE(events.find("event=gc_wait"), std::string::npos);
+  ExpectOnlyLiveFiles(&env, db.get(), "after the held unlinks");
+}
+
+// A flush hands its retired WAL over without waiting while CompactAll's
+// batch, under the cap, is still being unlinked: the flush job finishes
+// long before those unlinks do.
+TEST(FileGc, FlushDoesNotWaitForAnEarlierBatch) {
+  auto base = NewMemEnv();
+  SlowUnlinkEnv env(base.get());
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(Opts(&env), &db).ok());
+  WriteConcurrently(db.get(), 200);
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  const size_t tables = TablesOf(db->current_version()).size();
+  ASSERT_GE(tables, 2u * DB::kUnlinkThreads);
+  ASSERT_LE(tables, DB::kMaxUnlinkDebt);
+
+  env.HoldUnlinks();
+  Status compacted;
+  std::thread compact_all([&] { compacted = db->CompactAll(); });
+  // Every worker holds one of CompactAll's files: the batch is handed over.
+  ASSERT_TRUE(Eventually(
+      [&env] { return env.held_unlinks() == DB::kUnlinkThreads; }));
+  const uint64_t flushes =
+      Counter(db.get(), "talus.exec", "flush{", "completed");
+  const uint64_t switches = Counter(db.get(), "talus.stats", "", "switches");
+  for (int i = 0; Counter(db.get(), "talus.stats", "", "switches") == switches;
+       i++) {
+    ASSERT_TRUE(db->Put(Key(i), std::string(64, 'f')).ok());
+  }
+  EXPECT_TRUE(Eventually([&db, flushes] {
+    return Counter(db.get(), "talus.exec", "flush{", "completed") > flushes;
+  })) << "the flush job waited for CompactAll's unlinks";
+  EXPECT_EQ(env.held_unlinks(), DB::kUnlinkThreads);
+
+  env.ReleaseUnlinks();
+  compact_all.join();
+  ASSERT_TRUE(compacted.ok()) << compacted.ToString();
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  ExpectOnlyLiveFiles(&env, db.get(), "after CompactAll");
+}
+
+// The compaction chain's last pick found nothing to do, but its reap hands a
+// retired WAL over with the mutex released. A flush installing in that
+// window schedules a compaction that finds the chain still active and
+// returns, so the chain must pick again before it exits. ApplyPolicyConfig
+// runs the chain on the caller's thread, and the reap is held by unlinks
+// held past the cap.
+TEST(FileGc, FlushLandingInTheChainsLastReapIsPicked) {
+  auto base = NewMemEnv();
+  SlowUnlinkEnv env(base.get());
+  DbOptions opts = Opts(&env);
+  opts.target_file_size = 1 << 10;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    WriteConcurrently(db.get(), 800);
+    ASSERT_TRUE(db->FlushMemTable().ok());
+    ASSERT_GT(TablesOf(db->current_version()).size(), DB::kMaxUnlinkDebt);
+  }
+  // With large tables every flush writes exactly one; spare pool threads and
+  // immutable memtables keep the jobs parked below from stalling the rest.
+  opts.target_file_size = 1 << 20;
+  opts.num_background_threads = 4;
+  opts.max_immutable_memtables = 4;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+
+  // 1. CompactAll hands every table over in one batch, past the cap.
+  env.HoldUnlinks();
+  Status compacted;
+  std::thread compact_all([&] { compacted = db->CompactAll(); });
+  ASSERT_TRUE(Eventually(
+      [&env] { return env.held_unlinks() == DB::kUnlinkThreads; }));
+
+  // 2. Two memtables are sealed while their flush job waits to write.
+  env.AllowTables(0);
+  const uint64_t switches = Counter(db.get(), "talus.stats", "", "switches");
+  for (int i = 0;
+       Counter(db.get(), "talus.stats", "", "switches") < switches + 2; i++) {
+    ASSERT_TRUE(db->Put(Key(i), std::string(64, 'w')).ok());
+  }
+
+  // 3. The first one's flush installs and leaves its WAL for the next reap;
+  //    the second one's table waits.
+  env.AllowTables(1);
+  ASSERT_TRUE(Eventually([&] {
+    return Counter(db.get(), "talus.stats", "", "bg_flushes") == 1 &&
+           env.waiting_tables() == 1;
+  }));
+
+  // 4. The chain: HR-Level has nothing to compact yet, so the chain reaps
+  //    the WAL, and the hand-off waits on the held debt. The swap and the
+  //    reap's unlock happen in one hold of the mutex, so once the new policy
+  //    is visible the chain is in that reap.
+  std::atomic<bool> applied{false};
+  Status apply_status;
+  std::thread apply([&] {
+    apply_status = db->ApplyPolicyConfig(GrowthPolicyConfig::HRLevel(3));
+    applied = true;
+  });
+  ASSERT_TRUE(Eventually([&db] {
+    return db->CurrentPolicyConfig().scheme ==
+           GrowthScheme::kHorizontalLeveling;
+  }));
+
+  // 5. The second flush lands in that window. It arms HR-Level's first
+  //    cascade, levels [0..1] into level 2, and the compaction job it
+  //    schedules finds the chain active and returns.
+  env.OpenTables();
+  ASSERT_TRUE(Eventually([&db] {
+    return Counter(db.get(), "talus.exec", "compaction{", "completed") == 1;
+  }));
+  EXPECT_EQ(Counter(db.get(), "talus.stats", "", "bg_flushes"), 2u);
+  EXPECT_FALSE(applied.load());
+
+  // 6. Once the unlinks go, the chain must run that cascade before it exits.
+  env.ReleaseUnlinks();
+  apply.join();
+  compact_all.join();
+  ASSERT_TRUE(apply_status.ok()) << apply_status.ToString();
+  ASSERT_TRUE(compacted.ok()) << compacted.ToString();
+  ASSERT_TRUE(db->FlushMemTable().ok());  // Nothing left to flush: drains.
+  const Version& v = db->current_version();
+  EXPECT_TRUE(v.levels[0].empty()) << "the flush's cascade was never picked";
+  EXPECT_TRUE(v.levels[1].empty());
+  ExpectOnlyLiveFiles(&env, db.get(), "after the chain");
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // White-box unit tests for policy internals, on hand-built Version shapes
 // (no engine in the loop): universal's rule precedence, vertical capacity
 // math (incl. RocksDB-Tuned dynamic level bytes), cascade request assembly,
-// counter encode/decode round-trips.
+// counter encode/decode round-trips, and trigger folding when several
+// flushes complete between two picks.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <utility>
 
 #include "policy/horizontal_policy.h"
 #include "policy/policy_config.h"
@@ -243,6 +246,97 @@ TEST(HorizontalCountersUnit, EncodeDecodeRoundTrip) {
   EXPECT_TRUE(input.empty());
   EXPECT_EQ(decoded.levels(), 4);
   EXPECT_EQ(decoded.counters(), counters.counters());
+}
+
+// ---------------------------------------------------------------------------
+// Several flushes between two picks (background mode, growth_policy.h).
+// ---------------------------------------------------------------------------
+
+TEST(HorizontalCountersUnit, FoldFlushKeepsTheLargerCascade) {
+  HorizontalCounters counters(3, /*tiering=*/false, 0, 0);
+  int pending = -1;
+  counters.FoldFlush(&pending);  // Flush 1 cascades through [0..1].
+  EXPECT_EQ(pending, 1);
+  counters.FoldFlush(&pending);  // Flush 2 alone would cascade [0..0].
+  EXPECT_EQ(pending, 1);
+  counters.FoldFlush(&pending);  // Flush 3 alone would not trigger.
+  EXPECT_EQ(pending, 1);
+}
+
+std::set<std::pair<int, uint64_t>> InputRuns(const CompactionRequest& req) {
+  std::set<std::pair<int, uint64_t>> runs;
+  for (const auto& in : req.inputs) runs.insert({in.level, in.run_id});
+  return runs;
+}
+
+// Drives `config` the inline way (one flush, then picks until quiescent) over
+// a version holding one small run per level. Before every flush it restores
+// a second policy from the same state and gives it two flushes before one
+// pick, as a background compaction chain busy elsewhere would: that pick must
+// still run every run the first flush's cascade would have, and reach at
+// least as deep. Overwriting the pending cascade instead returns the second
+// flush's smaller cascade, or nothing.
+void ExpectSecondFlushKeepsFirstCascade(const GrowthPolicyConfig& config) {
+  const PolicyContext ctx = Ctx();
+  Version v;
+  v.EnsureLevels(VertiorizonPolicy::kMaxHorizontalLevels + 2);
+  for (size_t i = 0; i < v.levels.size(); i++) {
+    v.levels[i].runs = {MakeRun(i + 1, 100)};
+  }
+  auto inline_policy = CreateGrowthPolicy(config, ctx);
+  ASSERT_NE(inline_policy, nullptr);
+  int cascades = 0;
+  for (int flush = 0; flush < 64; flush++) {
+    const std::string state = inline_policy->EncodeState();
+    inline_policy->OnFlushCompleted(v);
+    const auto first = inline_policy->PickCompaction(v);
+    for (auto req = first; req.has_value();
+         req = inline_policy->PickCompaction(v)) {
+      inline_policy->OnCompactionCompleted(*req, v);
+    }
+    if (!first.has_value()) continue;
+    cascades++;
+
+    auto busy_chain = CreateGrowthPolicy(config, ctx);
+    ASSERT_TRUE(busy_chain->DecodeState(state));
+    busy_chain->OnFlushCompleted(v);
+    busy_chain->OnFlushCompleted(v);
+    const auto folded = busy_chain->PickCompaction(v);
+    ASSERT_TRUE(folded.has_value())
+        << config.Label() << " flush " << flush << ": " << first->reason
+        << " was dropped";
+    EXPECT_GE(folded->output_level, first->output_level)
+        << config.Label() << " flush " << flush << ": " << folded->reason
+        << " instead of " << first->reason;
+    const auto folded_runs = InputRuns(*folded);
+    for (const auto& run : InputRuns(*first)) {
+      EXPECT_EQ(folded_runs.count(run), 1u)
+          << config.Label() << " flush " << flush << ": " << folded->reason
+          << " misses level " << run.first << " of " << first->reason;
+    }
+  }
+  EXPECT_GE(cascades, 8) << config.Label();
+}
+
+TEST(FlushesBetweenPicks, HorizontalLevelingFoldsCascades) {
+  ExpectSecondFlushKeepsFirstCascade(GrowthPolicyConfig::HRLevel(3));
+}
+
+TEST(FlushesBetweenPicks, HorizontalTieringFoldsCascades) {
+  ExpectSecondFlushKeepsFirstCascade(GrowthPolicyConfig::HRTier(3));
+}
+
+TEST(FlushesBetweenPicks, VertiorizonFoldsCascades) {
+  for (auto config : {GrowthPolicyConfig::VRNLevel(6.0),
+                      GrowthPolicyConfig::VRNTier(6.0)}) {
+    config.vrn_fixed_levels = 3;
+    ExpectSecondFlushKeepsFirstCascade(config);
+  }
+}
+
+TEST(FlushesBetweenPicks, LazyLevelingFoldsCascades) {
+  ExpectSecondFlushKeepsFirstCascade(
+      GrowthPolicyConfig::LazyLeveling(6.0, 4, /*embed=*/true));
 }
 
 TEST(PolicyLabels, PresetsNameThemselves) {
