@@ -214,8 +214,8 @@ void CompactionExecutor::RunSubcompaction(const CompactionPlan& plan,
       }
     }
     if (!in_range.empty()) {
-      children.push_back(
-          clip(std::make_unique<RunIterator>(std::move(in_range), open)));
+      children.push_back(clip(std::make_unique<RunIterator>(
+          std::move(in_range), open, BlockSource::kFile)));
     }
   };
   for (const auto& ri : plan.inputs) add_run(ri.files);

@@ -274,6 +274,12 @@ class DB::Reaper {
     if (debt > 0) ring_->Emit(obs::EventType::kGcWait, shard_, debt, waited_us);
   }
 
+  /// Files handed over and not yet unlinked: the debt Add bounds.
+  size_t Outstanding() {
+    std::lock_guard<std::mutex> l(mu_);
+    return outstanding_;
+  }
+
   /// Blocks until everything handed over so far is unlinked.
   void Drain() {
     std::unique_lock<std::mutex> l(mu_);
@@ -1287,7 +1293,8 @@ Status DB::FlushMemToL0Locked(MemTable* mem,
     children.push_back(mem->NewIterator());
     children.push_back(std::make_unique<RunIterator>(
         target.files,
-        [this](uint64_t n) { return table_cache_->GetReader(n); }));
+        [this](uint64_t n) { return table_cache_->GetReader(n); },
+        BlockSource::kFile));
     auto merged = NewMergingIterator(InternalKeyComparator(),
                                      std::move(children));
     merged->SeekToFirst();
@@ -1684,13 +1691,13 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
         static_cast<unsigned long long>(stats_.stall_stops_memtable),
         static_cast<unsigned long long>(stats_.stall_stops_l0));
     const read::TableCache::Stats tc = table_cache_->GetStats();
-    char caches[512];
+    char caches[640];
     std::snprintf(
         caches, sizeof(caches),
         " bc_hits=%llu bc_misses=%llu bc_evictions=%llu bc_usage=%zu "
         "bc_cap=%zu tc_hits=%llu tc_misses=%llu tc_opens=%llu "
         "tc_evictions=%llu tc_open_readers=%zu tc_cap=%zu "
-        "gc_pending=%zu gc_deleted=%llu",
+        "gc_pending=%zu gc_deleted=%llu gc_unlinking=%zu",
         static_cast<unsigned long long>(block_cache_->hits()),
         static_cast<unsigned long long>(block_cache_->misses()),
         static_cast<unsigned long long>(block_cache_->evictions()),
@@ -1700,7 +1707,8 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
         static_cast<unsigned long long>(tc.opens),
         static_cast<unsigned long long>(tc.evictions), tc.open_readers,
         tc.capacity, gc_pending_.size(),
-        static_cast<unsigned long long>(stats_.obsolete_files_deleted));
+        static_cast<unsigned long long>(stats_.obsolete_files_deleted),
+        reaper_ != nullptr ? reaper_->Outstanding() : size_t{0});
     *value = std::string(buf) + caches + " | " +
              write_stats_.Snapshot().ToString();
     return true;

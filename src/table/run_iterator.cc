@@ -8,8 +8,9 @@ namespace talus {
 
 RunIterator::RunIterator(
     std::vector<FileMetaPtr> files,
-    std::function<std::shared_ptr<SstReader>(uint64_t)> open)
-    : files_(std::move(files)), open_(std::move(open)) {}
+    std::function<std::shared_ptr<SstReader>(uint64_t)> open,
+    BlockSource source)
+    : files_(std::move(files)), open_(std::move(open)), source_(source) {}
 
 bool RunIterator::Valid() const {
   return iter_ != nullptr && iter_->Valid();
@@ -80,11 +81,17 @@ void RunIterator::InitFile() {
     status_ = Status::IOError("cannot open sst reader");
     return;
   }
-  iter_ = reader_->NewIterator();
+  iter_ = reader_->NewIterator(source_);
+}
+
+bool RunIterator::Failed() {
+  if (status_.ok() && iter_ != nullptr) status_ = iter_->status();
+  return !status_.ok();
 }
 
 void RunIterator::SkipForward() {
-  while ((iter_ == nullptr || !iter_->Valid()) && index_ + 1 < files_.size()) {
+  while ((iter_ == nullptr || !iter_->Valid()) && !Failed() &&
+         index_ + 1 < files_.size()) {
     index_++;
     InitFile();
     if (iter_ != nullptr) iter_->SeekToFirst();
@@ -93,7 +100,7 @@ void RunIterator::SkipForward() {
 }
 
 void RunIterator::SkipBackward() {
-  while ((iter_ == nullptr || !iter_->Valid()) && index_ > 0) {
+  while ((iter_ == nullptr || !iter_->Valid()) && !Failed() && index_ > 0) {
     index_--;
     InitFile();
     if (iter_ != nullptr) iter_->SeekToLast();

@@ -1,7 +1,9 @@
 // RunIterator: iterates one sorted run — a sequence of key-disjoint,
 // ordered SST files — as a single concatenated key space with lazy reader
-// opening. Shared by the DB read path (pinned scans) and the compaction
-// executor (merge inputs).
+// opening. Shared by the DB read path (pinned scans, BlockSource::kCache)
+// and the merges (BlockSource::kFile: compaction inputs and the leveling
+// flush's level-0 run), which read around the block cache. The run stops at
+// the first file that fails to open or read and reports it in status().
 #ifndef TALUS_TABLE_RUN_ITERATOR_H_
 #define TALUS_TABLE_RUN_ITERATOR_H_
 
@@ -21,7 +23,8 @@ namespace talus {
 class RunIterator final : public Iterator {
  public:
   RunIterator(std::vector<FileMetaPtr> files,
-              std::function<std::shared_ptr<SstReader>(uint64_t)> open);
+              std::function<std::shared_ptr<SstReader>(uint64_t)> open,
+              BlockSource source = BlockSource::kCache);
 
   bool Valid() const override;
   void SeekToFirst() override;
@@ -35,11 +38,14 @@ class RunIterator final : public Iterator {
 
  private:
   void InitFile();
+  /// Latches the current file's error; true once the run has failed.
+  bool Failed();
   void SkipForward();
   void SkipBackward();
 
   std::vector<FileMetaPtr> files_;
   std::function<std::shared_ptr<SstReader>(uint64_t)> open_;
+  const BlockSource source_;
   size_t index_ = 0;
   // Declared before iter_ so the iterator (which points into the reader) is
   // destroyed first.

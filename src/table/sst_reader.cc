@@ -92,21 +92,27 @@ Status SstReader::ReadDataBlock(const BlockHandle& handle,
   // the env returned a pointer to its internal memory instead).
   auto b = std::make_shared<Block>(static_cast<size_t>(handle.size));
   Slice contents;
-  Status s = file_->Read(handle.offset, handle.size, &contents,
-                         b->MutableData());
+  Status s = ReadBlockContents(handle, b->MutableData(), &contents);
   if (!s.ok()) return s;
-  if (contents.size() != handle.size) {
-    return Status::Corruption("truncated data block");
-  }
   if (contents.data() != b->MutableData()) {
     memcpy(b->MutableData(), contents.data(), contents.size());
   }
   b->FinishLoad();
-  data_blocks_read_.fetch_add(1, std::memory_order_relaxed);
   if (block_cache_ != nullptr) {
     block_cache_->Insert(cache_key, b, b->size());
   }
   *block = std::move(b);
+  return Status::OK();
+}
+
+Status SstReader::ReadBlockContents(const BlockHandle& handle, char* scratch,
+                                    Slice* contents) {
+  Status s = file_->Read(handle.offset, handle.size, contents, scratch);
+  if (!s.ok()) return s;
+  if (contents->size() != handle.size) {
+    return Status::Corruption("truncated data block");
+  }
+  data_blocks_read_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -184,8 +190,7 @@ bool SstReader::GetPointSearch(const LookupKey& lkey, std::string* value,
     static thread_local std::string scratch;
     scratch.resize(handle.size);
     Slice contents;
-    Status rs = file_->Read(handle.offset, handle.size, &contents,
-                            scratch.data());
+    Status rs = ReadBlockContents(handle, scratch.data(), &contents);
     if (stats != nullptr) {
       stats->block_read = true;
       stats->cache_hit = false;
@@ -194,11 +199,6 @@ bool SstReader::GetPointSearch(const LookupKey& lkey, std::string* value,
       *s = rs;
       return true;
     }
-    if (contents.size() != handle.size) {
-      *s = Status::Corruption("truncated data block");
-      return true;
-    }
-    data_blocks_read_.fetch_add(1, std::memory_order_relaxed);
     // `contents` stays valid for the rest of this call: it points either at
     // `scratch` or at memory pinned by the open file handle.
     view.emplace(contents.data(), contents.size());
@@ -265,11 +265,16 @@ bool SstReader::GetViaIterators(const LookupKey& lkey, std::string* value,
   return FinishGet(lkey, block_iter->key(), block_iter->value(), value, s);
 }
 
-// Iterates index entries, materializing one data block at a time.
+// Iterates index entries, materializing one data block at a time: a cached
+// block (kCache) or a view over the reused read buffer (kFile). Holders of
+// key()/value() slices must drop them before the next move, which may
+// overwrite the buffer; the merge stage does (MergingIterator re-reads a
+// child's key after every Next, and WriteSortedOutput copies what it keeps).
 class SstReader::TwoLevelIterator final : public Iterator {
  public:
-  explicit TwoLevelIterator(SstReader* reader)
+  TwoLevelIterator(SstReader* reader, BlockSource source)
       : reader_(reader),
+        source_(source),
         index_iter_(reader->index_block_->NewIterator(true)) {}
 
   bool Valid() const override {
@@ -316,8 +321,9 @@ class SstReader::TwoLevelIterator final : public Iterator {
 
  private:
   void InitDataBlock() {
+    block_iter_.reset();  // Before the bytes it reads from.
     block_.reset();
-    block_iter_.reset();
+    view_.reset();
     if (!index_iter_->Valid()) return;
     BlockHandle handle;
     Slice handle_value = index_iter_->value();
@@ -325,18 +331,37 @@ class SstReader::TwoLevelIterator final : public Iterator {
       status_ = Status::Corruption("bad index entry");
       return;
     }
-    bool cache_hit = false;
-    Status s = reader_->ReadDataBlock(handle, &block_, &cache_hit);
-    if (!s.ok()) {
-      status_ = s;
-      return;
+    Status s;
+    if (source_ == BlockSource::kCache) {
+      bool cache_hit = false;
+      s = reader_->ReadDataBlock(handle, &block_, &cache_hit);
+      if (s.ok()) {
+        block_iter_ = block_->NewIterator(/*internal_key_order=*/true);
+      }
+    } else {
+      buffer_.resize(handle.size);
+      Slice contents;
+      s = reader_->ReadBlockContents(handle, buffer_.data(), &contents);
+      if (s.ok()) {
+        view_.emplace(contents.data(), contents.size());
+        block_iter_ = view_->NewIterator(/*internal_key_order=*/true);
+      }
     }
-    block_iter_ = block_->NewIterator(/*internal_key_order=*/true);
+    if (!s.ok()) status_ = s;
+  }
+
+  // Latches a data block's error before the block is dropped, so the
+  // iteration stops at a damaged block instead of skipping past it.
+  bool Failed() {
+    if (status_.ok() && block_iter_ != nullptr) {
+      status_ = block_iter_->status();
+    }
+    return !status_.ok();
   }
 
   void SkipEmptyBlocksForward() {
     while (block_iter_ == nullptr || !block_iter_->Valid()) {
-      if (!index_iter_->Valid()) {
+      if (Failed() || !index_iter_->Valid()) {
         block_iter_.reset();
         return;
       }
@@ -348,7 +373,7 @@ class SstReader::TwoLevelIterator final : public Iterator {
 
   void SkipEmptyBlocksBackward() {
     while (block_iter_ == nullptr || !block_iter_->Valid()) {
-      if (!index_iter_->Valid()) {
+      if (Failed() || !index_iter_->Valid()) {
         block_iter_.reset();
         return;
       }
@@ -359,14 +384,17 @@ class SstReader::TwoLevelIterator final : public Iterator {
   }
 
   SstReader* reader_;
+  const BlockSource source_;
   std::unique_ptr<Iterator> index_iter_;
-  std::shared_ptr<Block> block_;
+  std::shared_ptr<Block> block_;  // kCache.
+  std::string buffer_;            // kFile: reused across blocks.
+  std::optional<Block> view_;     // kFile: over buffer_ or the file's bytes.
   std::unique_ptr<Iterator> block_iter_;
   Status status_;
 };
 
-std::unique_ptr<Iterator> SstReader::NewIterator() {
-  return std::make_unique<TwoLevelIterator>(this);
+std::unique_ptr<Iterator> SstReader::NewIterator(BlockSource source) {
+  return std::make_unique<TwoLevelIterator>(this, source);
 }
 
 }  // namespace talus

@@ -1,7 +1,10 @@
 // SstReader: read side of the SST format. The index and filter blocks are
 // pinned in memory at open (the engine-wide assumption that fence pointers
 // and Bloom filters are memory resident — at most one data-block I/O per run
-// per point lookup). Data blocks go through the shared block cache.
+// per point lookup). Point lookups and BlockSource::kCache iterators (user
+// scans) read data blocks through the shared block cache; merge inputs
+// (BlockSource::kFile) read each block once, straight from the file into a
+// buffer the iterator reuses, and never touch the cache (DESIGN.md §2.7).
 //
 // Thread-safe after Open: Get() and NewIterator() only read the immutable
 // index/filter state, pread the file, and touch the internally locked block
@@ -24,6 +27,18 @@
 
 namespace talus {
 
+/// Where an SST iterator gets its data blocks.
+enum class BlockSource {
+  /// The shared block cache (a miss reads the block and inserts it): reads
+  /// that may revisit a block, such as user scans.
+  kCache,
+  /// The file, into one buffer the iterator reuses (on a mem env, the
+  /// file's own bytes: no copy). Merge inputs read every block exactly once
+  /// from a file the merge is about to make obsolete, so caching them only
+  /// evicts blocks that foreground reads would hit.
+  kFile,
+};
+
 class SstReader {
  public:
   /// Opens an SST. `block_cache` may be nullptr (no caching). file_number
@@ -45,8 +60,10 @@ class SstReader {
   bool Get(const LookupKey& lkey, std::string* value, Status* s,
            GetStats* stats = nullptr, bool fast_path = true);
 
-  /// Iterator over the whole file (internal keys).
-  std::unique_ptr<Iterator> NewIterator();
+  /// Iterator over the whole file (internal keys). Stops at the first
+  /// damaged or unreadable block and reports it through status().
+  std::unique_ptr<Iterator> NewIterator(
+      BlockSource source = BlockSource::kCache);
 
   uint64_t num_data_blocks_read() const {
     return data_blocks_read_.load(std::memory_order_relaxed);
@@ -57,6 +74,11 @@ class SstReader {
 
   Status ReadDataBlock(const BlockHandle& handle,
                        std::shared_ptr<Block>* block, bool* cache_hit);
+  /// Reads the block's bytes without the cache. *contents points at
+  /// `scratch` or at memory the open file pins (a mem env hands back its
+  /// own bytes).
+  Status ReadBlockContents(const BlockHandle& handle, char* scratch,
+                           Slice* contents);
 
   bool GetPointSearch(const LookupKey& lkey, std::string* value, Status* s,
                       GetStats* stats);

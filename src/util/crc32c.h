@@ -1,5 +1,8 @@
-// CRC32C (Castagnoli) checksum, software implementation with a masked form
-// for embedding checksums alongside the data they cover (RocksDB convention).
+// CRC32C (Castagnoli) checksum with a masked form for embedding checksums
+// alongside the data they cover (RocksDB convention). Extend uses the SSE4.2
+// `crc32` instruction when the CPU has it (checked once at run time, no
+// build flag) and a byte-at-a-time table otherwise; both give identical
+// results, so stored checksums do not depend on the machine.
 #ifndef TALUS_UTIL_CRC32C_H_
 #define TALUS_UTIL_CRC32C_H_
 
@@ -14,6 +17,14 @@ namespace crc32c {
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
+
+namespace internal {
+/// The portable table implementation Extend falls back to; exposed so tests
+/// can check the hardware path against it.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+/// True when Extend runs on the SSE4.2 instruction.
+bool HardwareAvailable();
+}  // namespace internal
 
 static const uint32_t kMaskDelta = 0xa282ead8ul;
 

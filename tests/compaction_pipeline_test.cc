@@ -349,6 +349,94 @@ TEST(CompactionPipelineDbTest, SubcompactionScanIdenticalAndDisjoint) {
   }
 }
 
+// Merges read their inputs around the block cache (BlockSource::kFile): on a
+// write-only store, leveling flush merges, pipelined flush merges,
+// compactions and CompactAll make no cache lookup, insert or eviction.
+TEST(CompactionPipelineDbTest, MergesLeaveTheBlockCacheAlone) {
+  for (ExecutionMode mode :
+       {ExecutionMode::kInline, ExecutionMode::kBackground}) {
+    SCOPED_TRACE(mode == ExecutionMode::kInline ? "inline" : "background");
+    auto env = NewMemEnv();
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(PipelineOptions(env.get(), mode,
+                                         GrowthPolicyConfig::VTLevelFull(3),
+                                         2),
+                         &db)
+                    .ok());
+    LruCache* cache = db->block_cache();
+    ASSERT_NE(cache, nullptr);
+    for (int i = 0; i < 3000; i++) {
+      ASSERT_TRUE(db->Put(workload::FormatKey(i * 7919 % 2000, 16),
+                          "v" + std::to_string(i))
+                      .ok());
+    }
+    ASSERT_TRUE(db->FlushMemTable().ok());
+    EXPECT_EQ(cache->hits(), 0u);
+    EXPECT_EQ(cache->misses(), 0u);
+    EXPECT_EQ(cache->usage(), 0u);
+    ASSERT_TRUE(db->CompactAll().ok());
+    EXPECT_GT(db->stats().compactions, 1u);  // Policy-driven and manual.
+    EXPECT_EQ(cache->hits(), 0u);
+    EXPECT_EQ(cache->misses(), 0u);
+    EXPECT_EQ(cache->usage(), 0u);
+  }
+}
+
+// A block a Get warmed stays cached, and hits, across a compaction that
+// does not touch its file: merges neither evict it nor charge the cache.
+TEST(CompactionPipelineDbTest, WarmBlockOfAnUntouchedFileStillHits) {
+  auto env = NewMemEnv();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(PipelineOptions(env.get(), ExecutionMode::kInline,
+                                       GrowthPolicyConfig::VTTierFull(3), 1),
+                       &db)
+                  .ok());
+  for (int i = 1000; i < 2000; i++) {
+    ASSERT_TRUE(db->Put(workload::FormatKey(i, 16), "old").ok());
+  }
+  ASSERT_TRUE(db->CompactAll().ok());
+
+  // The file holding `warm`; later writes sort below it, so no newer run
+  // covers its key and a Get probes only this file.
+  const std::string warm = workload::FormatKey(1500, 16);
+  auto file_of_warm = [&db, &warm]() -> uint64_t {
+    for (const auto& level : db->current_version().levels) {
+      for (const auto& run : level.runs) {
+        for (const auto& f : run.files) {
+          if (f->smallest.user_key().compare(warm) <= 0 &&
+              f->largest.user_key().compare(warm) >= 0) {
+            return f->number;
+          }
+        }
+      }
+    }
+    return 0;
+  };
+  const uint64_t warm_file = file_of_warm();
+  ASSERT_NE(warm_file, 0u);
+  std::string value;
+  ASSERT_TRUE(db->Get(warm, &value).ok());
+  LruCache* cache = db->block_cache();
+  const uint64_t hits = cache->hits(), misses = cache->misses();
+  const size_t usage = cache->usage();
+  ASSERT_GT(usage, 0u);
+
+  const uint64_t compactions = db->stats().compactions;
+  for (int i = 0; i < 1000 && db->stats().compactions == compactions; i++) {
+    ASSERT_TRUE(db->Put(workload::FormatKey(i, 16), "new").ok());
+  }
+  ASSERT_GT(db->stats().compactions, compactions);
+  ASSERT_EQ(file_of_warm(), warm_file);
+  EXPECT_EQ(cache->hits(), hits);
+  EXPECT_EQ(cache->misses(), misses);
+  EXPECT_EQ(cache->usage(), usage);
+
+  ASSERT_TRUE(db->Get(warm, &value).ok());
+  EXPECT_EQ(value, "old");
+  EXPECT_EQ(cache->hits(), hits + 1);
+  EXPECT_EQ(cache->misses(), misses);
+}
+
 // Deterministic per-thread op stream over a disjoint key range: the final
 // per-key state is independent of cross-thread interleaving, so inline and
 // background runs must converge to the same database.

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "env/env.h"
+#include "format/block_builder.h"
 #include "lsm/db.h"
 #include "lsm/filename.h"
 #include "table/sst_builder.h"
@@ -173,6 +174,136 @@ TEST(DbCorruption, ManifestDamageFailsOpen) {
   EXPECT_FALSE(s.ok());
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
+
+// The data-block handles of an SST's index block, in key order.
+std::vector<std::pair<std::string, BlockHandle>> IndexEntries(
+    const std::string& sst) {
+  Footer footer;
+  EXPECT_TRUE(footer
+                  .DecodeFrom(Slice(sst.data() + sst.size() -
+                                        Footer::kEncodedLength,
+                                    Footer::kEncodedLength))
+                  .ok());
+  Block index(sst.substr(footer.index_handle.offset, footer.index_handle.size));
+  std::vector<std::pair<std::string, BlockHandle>> entries;
+  auto it = index.NewIterator(/*internal_key_order=*/true);
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    BlockHandle handle;
+    Slice v = it->value();
+    EXPECT_TRUE(handle.DecodeFrom(&v));
+    entries.emplace_back(it->key().ToString(), handle);
+  }
+  EXPECT_TRUE(it->status().ok());
+  return entries;
+}
+
+// Rewrites the SST's index block (and footer) to hold `entries`.
+void ReplaceIndex(std::string* sst,
+                  const std::vector<std::pair<std::string, BlockHandle>>&
+                      entries) {
+  Footer footer;
+  ASSERT_TRUE(footer
+                  .DecodeFrom(Slice(sst->data() + sst->size() -
+                                        Footer::kEncodedLength,
+                                    Footer::kEncodedLength))
+                  .ok());
+  BlockBuilder builder(1, /*internal_key_order=*/true);
+  for (const auto& [key, handle] : entries) {
+    std::string encoded;
+    handle.EncodeTo(&encoded);
+    builder.Add(key, encoded);
+  }
+  const Slice index = builder.Finish();
+  sst->resize(footer.index_handle.offset);
+  footer.index_handle.size = index.size();
+  sst->append(index.data(), index.size());
+  footer.EncodeTo(sst);
+}
+
+// Merge inputs read data blocks straight from the file (BlockSource::kFile),
+// not through the block cache; a damaged block must still fail the merge
+// with Corruption rather than be skipped (its keys silently dropped).
+class DamagedBlockCompactionTest
+    : public ::testing::TestWithParam<ExecutionMode> {};
+
+TEST_P(DamagedBlockCompactionTest, CompactAllReportsCorruption) {
+  struct Damage {
+    const char* message;  // The Corruption the merge must report.
+    std::function<void(std::string*)> apply;
+  };
+  const std::vector<Damage> damages = {
+      // The last data block's handle runs past the end of the file: the
+      // read comes back short ("truncated data block").
+      {"truncated data block",
+       [](std::string* c) {
+         auto entries = IndexEntries(*c);
+         ASSERT_FALSE(entries.empty());
+         entries.back().second.size += c->size();
+         ReplaceIndex(c, entries);
+       }},
+      // The first data block's restart count is garbage: the block parses
+      // as malformed ("bad block contents").
+      {"bad block contents",
+       [](std::string* c) {
+         auto entries = IndexEntries(*c);
+         ASSERT_FALSE(entries.empty());
+         const BlockHandle& first = entries.front().second;
+         for (size_t i = 0; i < sizeof(uint32_t); i++) {
+           (*c)[first.offset + first.size - 1 - i] = '\xff';
+         }
+       }},
+  };
+  for (const Damage& damage : damages) {
+    SCOPED_TRACE(damage.message);
+    auto env = NewMemEnv();
+    DbOptions opts;
+    opts.env = env.get();
+    opts.path = "/db";
+    opts.write_buffer_size = 16 << 10;
+    opts.block_size = 1024;
+    opts.policy = GrowthPolicyConfig::VTTierFull(6);
+    opts.execution_mode = GetParam();
+    {
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(opts, &db).ok());
+      for (int run = 0; run < 3; run++) {
+        for (int i = 0; i < 300; i++) {
+          ASSERT_TRUE(db->Put(workload::FormatKey(i * 3 + run, 16),
+                              "value" + std::to_string(i))
+                          .ok());
+        }
+        ASSERT_TRUE(db->FlushMemTable().ok());
+      }
+    }
+    std::vector<std::string> children;
+    ASSERT_TRUE(env->GetChildren("/db", &children).ok());
+    std::string sst;
+    for (const auto& c : children) {
+      if (c.size() > 4 && c.compare(c.size() - 4, 4, ".sst") == 0) {
+        sst = "/db/" + c;
+        break;
+      }
+    }
+    ASSERT_FALSE(sst.empty());
+    MutateFile(env.get(), sst, damage.apply);
+
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    const Status s = db->CompactAll();
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find(damage.message), std::string::npos)
+        << s.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, DamagedBlockCompactionTest,
+                         ::testing::Values(ExecutionMode::kInline,
+                                           ExecutionMode::kBackground),
+                         [](const auto& info) {
+                           return info.param == ExecutionMode::kInline
+                                      ? std::string("Inline")
+                                      : std::string("Background");
+                         });
 
 TEST(DbCorruption, CurrentPointingNowhereFailsOpen) {
   auto env = NewMemEnv();

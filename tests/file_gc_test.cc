@@ -388,11 +388,10 @@ TEST(FileGc, UnlinkDebtStaysUnderTheCap) {
   ASSERT_TRUE(DB::Open(Opts(&env), &db).ok());
   env.HoldUnlinks();
   std::thread writers([&db] { WriteConcurrently(db.get(), 1500); });
-  // Files handed over so far: the tables collected for unlinking plus one
-  // retired WAL per flush. Past the cap, the next job's hand-off waits.
+  // Files handed over and not yet unlinked (none are, while held). Past
+  // the cap, the next job's hand-off waits.
   const bool over_cap = Eventually([&db] {
-    return Counter(db.get(), "talus.stats", "", "gc_deleted") +
-               Counter(db.get(), "talus.stats", "", "bg_flushes") >
+    return Counter(db.get(), "talus.stats", "", "gc_unlinking") >
            DB::kMaxUnlinkDebt;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
