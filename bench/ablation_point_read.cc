@@ -1,19 +1,13 @@
-// Ablation: point-read fast path — lookup implementation × filter variant
-// × block-cache regime × reader threads (DESIGN.md §7).
+// Ablation: point-read path — filter variant × block-cache regime × reader
+// threads (DESIGN.md §7).
 //
-// Rows (the "mode" column) isolate each layer of the fast path:
-//   iter_legacy   two-iterator SstReader::Get, legacy flat bloom (the
-//                 pre-fast-path engine; A/B baseline)
-//   fast_legacy   Block::PointGet path, legacy bloom — isolates the
-//                 allocation-free in-block search
-//   fast_blocked  Block::PointGet + cache-line-blocked bloom — the new
-//                 default-capable configuration
+// Rows (the "mode" column):
+//   fast_legacy   Block::PointGet path, legacy flat bloom
+//   fast_blocked  Block::PointGet + cache-line-blocked bloom
 // The "policy" column is the cache regime: cachehit (block cache larger
 // than the tree, warmed) vs cachemiss (cache disabled: every lookup decodes
 // a freshly loaded block — on the mem env via the zero-copy view path).
-// blocks_per_lookup comes from the amp tracker and must be identical across
-// modes with the same filter variant: the fast path changes cycles, not
-// I/O shape.
+// blocks_per_lookup comes from the amp tracker.
 //
 // Always runs on the mem env: the subject is CPU cost per lookup, not disk.
 // --smoke shrinks the sweep for CI; --json PATH emits rows for the
@@ -42,7 +36,6 @@ struct BenchConfig {
 
 struct ModeVariant {
   const char* name;
-  bool fast_path;
   FilterVariant filter_variant;
 };
 
@@ -74,7 +67,6 @@ RunResult RunOne(const BenchConfig& cfg, const ModeVariant& mode,
   opts.block_cache_bytes = cache_hit_regime ? (64 << 20) : 0;
   opts.policy = GrowthPolicyConfig::VTLevelFull(3);
   opts.filter_variant = mode.filter_variant;
-  opts.point_read_fast_path = mode.fast_path;
 
   std::unique_ptr<DB> db;
   Status s = DB::Open(opts, &db);
@@ -167,9 +159,8 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<ModeVariant> modes = {
-      {"iter_legacy", false, FilterVariant::kLegacy},
-      {"fast_legacy", true, FilterVariant::kLegacy},
-      {"fast_blocked", true, FilterVariant::kBlocked},
+      {"fast_legacy", FilterVariant::kLegacy},
+      {"fast_blocked", FilterVariant::kBlocked},
   };
   const std::vector<bool> cache_regimes = {true, false};
   const std::vector<int> reader_counts =

@@ -147,7 +147,7 @@ RunResult RunOne(const BenchConfig& cfg, const PolicyVariant& policy,
     r.min_shard_puts = std::min(r.min_shard_puts, puts);
     r.max_shard_puts = std::max(r.max_shard_puts, puts);
   }
-  const EngineStats agg = db->AggregatedStats();
+  const EngineStats agg = db->AggregatedCounters().engine;
   r.stall_ms = agg.stall_micros / 1000;
   r.bg_flushes = agg.bg_flushes;
   r.bg_compactions = agg.bg_compactions;

@@ -338,12 +338,6 @@ class DB::Reaper {
 };
 
 DB::DB(const DbOptions& options) : options_(options) {
-  // Legacy alias: wal_sync_writes predates wal_sync_mode and promised one
-  // fsync per write. Group commit keeps the guarantee (every acked batch is
-  // synced before its status is published) while amortizing the cost.
-  if (options_.wal_sync_writes && options_.wal_sync_mode == WalSyncMode::kNone) {
-    options_.wal_sync_mode = WalSyncMode::kPerGroup;
-  }
   write_queue_ = std::make_unique<write::WriteQueue>();
   block_cache_ = std::make_unique<LruCache>(options_.block_cache_bytes);
   table_cache_ = std::make_unique<read::TableCache>(
@@ -869,28 +863,11 @@ Status DB::CommitWriter(write::Writer* writer) {
   }
 
   // ---- Memtable inserts (no mutex). ----
-  size_t parallel_applies = 0;
   if (s.ok() && group_count > 0) {
-    if (options_.parallel_memtable_writes && group.writers.size() > 1) {
-      // Followers insert their own sub-batches concurrently (CAS skiplist
-      // inserts); the leader applies its own and then waits for them.
-      group.apply = [mem_raw = mem.get()](write::Writer* wr) {
-        if (!wr->status.ok()) return;
-        MemTableInserter inserter(mem_raw, wr->base_seq);
-        wr->status = wr->batch->Iterate(&inserter);
-      };
-      write_queue_->StartParallelApplies(&group);
-      group.apply(&w);  // The leader's own sub-batch, same path.
-      write_queue_->AwaitParallelApplies(&group);
-      for (size_t i = 1; i < group.writers.size(); i++) {
-        if (group.writers[i]->status.ok()) parallel_applies++;
-      }
-    } else {
-      for (write::Writer* wr : group.writers) {
-        if (!wr->status.ok()) continue;
-        MemTableInserter inserter(mem.get(), wr->base_seq);
-        wr->status = wr->batch->Iterate(&inserter);
-      }
+    for (write::Writer* wr : group.writers) {
+      if (!wr->status.ok()) continue;
+      MemTableInserter inserter(mem.get(), wr->base_seq);
+      wr->status = wr->batch->Iterate(&inserter);
     }
   }
 
@@ -937,8 +914,7 @@ Status DB::CommitWriter(write::Writer* writer) {
     options_.env->io_stats()->RecordCpu(options_.cpu_cost_per_write);
   }
   write_stats_.OnGroupCommitted(group.writers.size(), committed,
-                                group.queue_wait_micros, synced,
-                                parallel_applies);
+                                group.queue_wait_micros, synced);
   Status flush_status;
   if (mem_->payload_bytes() >= options_.write_buffer_size) {
     // The flush (inline) or switch (background) is attributed to the
@@ -1653,76 +1629,17 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
     return true;
   }
   if (property == "talus.stats") {
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "puts=%llu deletes=%llu gets=%llu scans=%llu flushes=%llu "
-        "compactions=%llu write_amp=%.3f read_amp=%.3f "
-        "flush_read=%llu comp_read=%llu conflicts=%llu "
-        "filter_negatives=%llu cache_hits=%llu max_stall=%.1f "
-        "switches=%llu bg_flushes=%llu bg_compactions=%llu "
-        "stall_us=%llu slowdowns=%llu stops=%llu "
-        "stall_slowdown_us=%llu stall_stop_us=%llu "
-        "slowdowns_memtable=%llu slowdowns_l0=%llu "
-        "stops_memtable=%llu stops_l0=%llu",
-        static_cast<unsigned long long>(stats_.puts),
-        static_cast<unsigned long long>(stats_.deletes),
-        static_cast<unsigned long long>(stats_.gets),
-        static_cast<unsigned long long>(stats_.scans),
-        static_cast<unsigned long long>(stats_.flushes),
-        static_cast<unsigned long long>(stats_.compactions),
-        stats_.WriteAmplification(), stats_.ReadAmplification(),
-        static_cast<unsigned long long>(stats_.flush_bytes_read),
-        static_cast<unsigned long long>(stats_.compaction_bytes_read),
-        static_cast<unsigned long long>(stats_.compaction_conflicts),
-        static_cast<unsigned long long>(stats_.filter_negatives),
-        static_cast<unsigned long long>(stats_.block_cache_hits),
-        stats_.max_stall_clock,
-        static_cast<unsigned long long>(stats_.memtable_switches),
-        static_cast<unsigned long long>(stats_.bg_flushes),
-        static_cast<unsigned long long>(stats_.bg_compactions),
-        static_cast<unsigned long long>(stats_.stall_micros),
-        static_cast<unsigned long long>(stats_.stall_slowdowns),
-        static_cast<unsigned long long>(stats_.stall_stops),
-        static_cast<unsigned long long>(stats_.stall_slowdown_micros),
-        static_cast<unsigned long long>(stats_.stall_stop_micros),
-        static_cast<unsigned long long>(stats_.stall_slowdowns_memtable),
-        static_cast<unsigned long long>(stats_.stall_slowdowns_l0),
-        static_cast<unsigned long long>(stats_.stall_stops_memtable),
-        static_cast<unsigned long long>(stats_.stall_stops_l0));
-    const read::TableCache::Stats tc = table_cache_->GetStats();
-    char caches[640];
-    std::snprintf(
-        caches, sizeof(caches),
-        " bc_hits=%llu bc_misses=%llu bc_evictions=%llu bc_usage=%zu "
-        "bc_cap=%zu tc_hits=%llu tc_misses=%llu tc_opens=%llu "
-        "tc_evictions=%llu tc_open_readers=%zu tc_cap=%zu "
-        "gc_pending=%zu gc_deleted=%llu gc_unlinking=%zu",
-        static_cast<unsigned long long>(block_cache_->hits()),
-        static_cast<unsigned long long>(block_cache_->misses()),
-        static_cast<unsigned long long>(block_cache_->evictions()),
-        block_cache_->usage(), block_cache_->capacity(),
-        static_cast<unsigned long long>(tc.hits),
-        static_cast<unsigned long long>(tc.misses),
-        static_cast<unsigned long long>(tc.opens),
-        static_cast<unsigned long long>(tc.evictions), tc.open_readers,
-        tc.capacity, gc_pending_.size(),
-        static_cast<unsigned long long>(stats_.obsolete_files_deleted),
-        reaper_ != nullptr ? reaper_->Outstanding() : size_t{0});
-    *value = std::string(buf) + caches + " | " +
-             write_stats_.Snapshot().ToString();
+    lock.unlock();
+    *value = metrics::FormatCounters(GetCounters());
     return true;
   }
   if (property == "talus.cstats") {
     std::string out = "level compactions bytes_read bytes_written\n";
     for (size_t i = 0; i < stats_.level_stats.size(); i++) {
       const auto& ls = stats_.level_stats[i];
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "L%zu %llu %llu %llu\n", i,
-                    static_cast<unsigned long long>(ls.compactions),
-                    static_cast<unsigned long long>(ls.bytes_read),
-                    static_cast<unsigned long long>(ls.bytes_written));
-      out += buf;
+      out += "L" + std::to_string(i) + " " + std::to_string(ls.compactions) +
+             " " + std::to_string(ls.bytes_read) + " " +
+             std::to_string(ls.bytes_written) + "\n";
     }
     *value = out;
     return true;
@@ -1732,17 +1649,12 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
       *value = "mode=inline";
       return true;
     }
-    char buf[256];
-    std::snprintf(
-        buf, sizeof(buf),
-        "mode=background threads=%zu imm_queued=%zu max_imm_queue=%llu "
-        "stall_us=%llu slowdowns=%llu stops=%llu | ",
-        pool_->num_threads(), imm_.size(),
-        static_cast<unsigned long long>(stats_.max_imm_queue_depth),
-        static_cast<unsigned long long>(stats_.stall_micros),
-        static_cast<unsigned long long>(stats_.stall_slowdowns),
-        static_cast<unsigned long long>(stats_.stall_stops));
-    *value = std::string(buf) + scheduler_->GetStats().ToString() + " | " +
+    // Stall counters live in talus.stats; this is the executor's own view.
+    *value = "mode=background threads=" +
+             std::to_string(pool_->num_threads()) +
+             " imm_queued=" + std::to_string(imm_.size()) +
+             " max_imm_queue=" + std::to_string(stats_.max_imm_queue_depth) +
+             " | " + scheduler_->GetStats().ToString() + " | " +
              compaction_exec_->GetStats().ToString();
     return true;
   }
@@ -1992,15 +1904,12 @@ Status DB::Get(const Slice& key, std::string* value,
   Status result = GetFromView(*view, lkey, value, &probe);
 
   // Read-path stats are relaxed atomics: no second mutex acquisition.
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  if (result.ok()) stats_.gets_found.fetch_add(1, std::memory_order_relaxed);
-  stats_.runs_probed.fetch_add(probe.runs_probed, std::memory_order_relaxed);
-  stats_.filter_negatives.fetch_add(probe.filter_negatives,
-                                    std::memory_order_relaxed);
-  stats_.data_block_reads.fetch_add(probe.block_reads,
-                                    std::memory_order_relaxed);
-  stats_.block_cache_hits.fetch_add(probe.cache_hits,
-                                    std::memory_order_relaxed);
+  stats_.gets += 1;
+  if (result.ok()) stats_.gets_found += 1;
+  stats_.runs_probed += probe.runs_probed;
+  stats_.filter_negatives += probe.filter_negatives;
+  stats_.data_block_reads += probe.block_reads;
+  stats_.block_cache_hits += probe.cache_hits;
   if (amp_ != nullptr) amp_->RecordLookup(probe.amp);
   mix_tracker_.RecordPointLookup();
   return result;
@@ -2047,8 +1956,7 @@ Status DB::GetFromView(const read::ReadView& view, const LookupKey& lkey,
         return Status::IOError("cannot open sst for read");
       }
       SstReader::GetStats gs;
-      bool decided = reader->Get(lkey, value, &s, &gs,
-                                 options_.point_read_fast_path);
+      bool decided = reader->Get(lkey, value, &s, &gs);
       if (gs.filter_negative) probe->filter_negatives++;
       if (gs.block_read) probe->block_reads++;
       if (gs.cache_hit) probe->cache_hits++;
@@ -2117,7 +2025,7 @@ Status DB::Scan(const Slice& start, size_t count,
     out->emplace_back(iter->key().ToString(), iter->value().ToString());
     iter->Next();
   }
-  stats_.scans.fetch_add(1, std::memory_order_relaxed);
+  stats_.scans += 1;
   mix_tracker_.RecordRangeLookup();
   return iter->status();
 }
@@ -2125,6 +2033,22 @@ Status DB::Scan(const Slice& start, size_t count,
 metrics::GroupCommitStats DB::GetGroupCommitStats() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return write_stats_.Snapshot();
+}
+
+metrics::CounterSnapshot DB::GetCounters() const {
+  std::unique_lock<std::mutex> lock(mutex_);
+  metrics::CounterSnapshot c;
+  c.engine = stats_;
+  c.group = write_stats_.Snapshot();
+  c.bc_hits = block_cache_->hits();
+  c.bc_misses = block_cache_->misses();
+  c.bc_evictions = block_cache_->evictions();
+  c.bc_usage = block_cache_->usage();
+  c.bc_capacity = block_cache_->capacity();
+  c.tc = table_cache_->GetStats();
+  c.gc_pending = gc_pending_.size();
+  c.gc_unlinking = reaper_ != nullptr ? reaper_->Outstanding() : 0;
+  return c;
 }
 
 SequenceNumber DB::LastSequence() const {
@@ -2159,12 +2083,10 @@ std::vector<Histogram> DB::GetLatencyHistograms() const {
 }
 
 std::string DB::DumpPrometheus() const {
-  EngineStats stats;
   uint64_t data_bytes = 0;
   obs::AmpSnapshot amp;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    stats = stats_;
     data_bytes = ApproximateDataBytesLocked();
     if (amp_ != nullptr) {
       amp = amp_->Snapshot();
@@ -2173,8 +2095,8 @@ std::string DB::DumpPrometheus() const {
   }
   tune::TunerStats tune_stats;
   if (tuner_ != nullptr) tune_stats = tuner_->GetStats();
-  return metrics::DumpPrometheusText(stats, ring_->TotalEmitted(), data_bytes,
-                                     GetLatencyHistograms(),
+  return metrics::DumpPrometheusText(GetCounters(), ring_->TotalEmitted(),
+                                     data_bytes, GetLatencyHistograms(),
                                      amp_ != nullptr ? &amp : nullptr,
                                      tuner_ != nullptr ? &tune_stats : nullptr);
 }

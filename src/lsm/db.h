@@ -57,7 +57,7 @@
 #include "lsm/version.h"
 #include "lsm/write_batch.h"
 #include "mem/memtable.h"
-#include "metrics/write_stats.h"
+#include "metrics/counters.h"
 #include "obs/amp_tracker.h"
 #include "obs/event_ring.h"
 #include "obs/latency_recorder.h"
@@ -75,120 +75,6 @@ namespace talus {
 namespace shard {
 class ShardedDB;
 }  // namespace shard
-
-/// Cumulative engine statistics (virtual-clock based where noted).
-/// Write-path fields are updated under the DB mutex; read-path fields are
-/// relaxed atomics because Get/Scan run without the mutex (DESIGN.md §2.7).
-/// Copying takes a field-wise snapshot.
-struct EngineStats {
-  // Write path.
-  uint64_t puts = 0;
-  uint64_t deletes = 0;
-  uint64_t flushes = 0;
-  uint64_t compactions = 0;
-  uint64_t flush_bytes_read = 0;  // Existing-SST bytes read by flush merges.
-  uint64_t flush_bytes_written = 0;
-  uint64_t compaction_bytes_read = 0;
-  uint64_t compaction_bytes_written = 0;
-  uint64_t user_payload_written = 0;  // Key+value bytes accepted from users.
-  // Merge results discarded because a concurrent flush reshaped the plan's
-  // inputs before install; the work was retried (DESIGN.md §2.8).
-  uint64_t compaction_conflicts = 0;
-
-  // Read path (mutex-free increments).
-  std::atomic<uint64_t> gets{0};
-  std::atomic<uint64_t> gets_found{0};
-  std::atomic<uint64_t> scans{0};
-  std::atomic<uint64_t> runs_probed{0};
-  std::atomic<uint64_t> filter_negatives{0};
-  std::atomic<uint64_t> data_block_reads{0};
-  std::atomic<uint64_t> block_cache_hits{0};
-
-  // Obsolete SSTs released for unlinking after their deferred-GC pin count
-  // dropped to zero (DESIGN.md §2.7).
-  uint64_t obsolete_files_deleted = 0;
-
-  // Longest single inline flush+compaction stall, in virtual clock units.
-  double max_stall_clock = 0;
-
-  // Background execution mode (all zero under kInline).
-  uint64_t memtable_switches = 0;   // Active → immutable handoffs.
-  uint64_t bg_flushes = 0;          // Flushes executed by background jobs.
-  uint64_t bg_compactions = 0;      // Compactions executed by background jobs.
-  uint64_t stall_slowdowns = 0;     // Writes delayed by the slowdown regime.
-  uint64_t stall_stops = 0;         // Writes blocked until debt retired.
-  uint64_t stall_micros = 0;        // Wall time writers spent stalled (total).
-  // Stall time split by regime (slowdown + stop == stall_micros) and stall
-  // entries split by cause, so talus.stats says *why* writes stalled:
-  // memtable = immutable-memtable debt, l0 = level-0 run debt.
-  uint64_t stall_slowdown_micros = 0;
-  uint64_t stall_stop_micros = 0;
-  uint64_t stall_slowdowns_memtable = 0;
-  uint64_t stall_slowdowns_l0 = 0;
-  uint64_t stall_stops_memtable = 0;
-  uint64_t stall_stops_l0 = 0;
-  uint64_t max_imm_queue_depth = 0; // High-water immutable-memtable count.
-
-  // Per-output-level compaction accounting (index = output level).
-  struct LevelStats {
-    uint64_t compactions = 0;
-    uint64_t bytes_read = 0;
-    uint64_t bytes_written = 0;
-  };
-  std::vector<LevelStats> level_stats;
-
-  EngineStats() = default;
-  EngineStats(const EngineStats& o) { *this = o; }
-  EngineStats& operator=(const EngineStats& o) {
-    puts = o.puts;
-    deletes = o.deletes;
-    flushes = o.flushes;
-    compactions = o.compactions;
-    flush_bytes_read = o.flush_bytes_read;
-    flush_bytes_written = o.flush_bytes_written;
-    compaction_bytes_read = o.compaction_bytes_read;
-    compaction_bytes_written = o.compaction_bytes_written;
-    user_payload_written = o.user_payload_written;
-    compaction_conflicts = o.compaction_conflicts;
-    gets.store(o.gets.load());
-    gets_found.store(o.gets_found.load());
-    scans.store(o.scans.load());
-    runs_probed.store(o.runs_probed.load());
-    filter_negatives.store(o.filter_negatives.load());
-    data_block_reads.store(o.data_block_reads.load());
-    block_cache_hits.store(o.block_cache_hits.load());
-    obsolete_files_deleted = o.obsolete_files_deleted;
-    max_stall_clock = o.max_stall_clock;
-    memtable_switches = o.memtable_switches;
-    bg_flushes = o.bg_flushes;
-    bg_compactions = o.bg_compactions;
-    stall_slowdowns = o.stall_slowdowns;
-    stall_stops = o.stall_stops;
-    stall_micros = o.stall_micros;
-    stall_slowdown_micros = o.stall_slowdown_micros;
-    stall_stop_micros = o.stall_stop_micros;
-    stall_slowdowns_memtable = o.stall_slowdowns_memtable;
-    stall_slowdowns_l0 = o.stall_slowdowns_l0;
-    stall_stops_memtable = o.stall_stops_memtable;
-    stall_stops_l0 = o.stall_stops_l0;
-    max_imm_queue_depth = o.max_imm_queue_depth;
-    level_stats = o.level_stats;
-    return *this;
-  }
-
-  /// Physical bytes written per user payload byte.
-  double WriteAmplification() const {
-    if (user_payload_written == 0) return 0;
-    return static_cast<double>(flush_bytes_written +
-                               compaction_bytes_written) /
-           static_cast<double>(user_payload_written);
-  }
-  /// Mean sorted runs probed per point lookup.
-  double ReadAmplification() const {
-    if (gets == 0) return 0;
-    return static_cast<double>(runs_probed) / static_cast<double>(gets);
-  }
-};
 
 /// Read view pinned at a point in time. Obtained from DB::GetSnapshot();
 /// versions visible to a live snapshot survive compactions until the
@@ -321,6 +207,9 @@ class DB {
   const EngineStats& stats() const { return stats_; }
   /// Snapshot of the write pipeline's group-commit counters (§2.9).
   metrics::GroupCommitStats GetGroupCommitStats() const;
+  /// Everything the counter table reports (talus.stats, /metrics), taken
+  /// together under the mutex (metrics/counters.h).
+  metrics::CounterSnapshot GetCounters() const;
   /// Per-op latency recorder; null when enable_latency_stats is off.
   obs::LatencyRecorder* latency_recorder() { return latency_.get(); }
   /// Per-level amplification tracker; null when enable_amp_stats is off.

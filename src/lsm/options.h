@@ -75,11 +75,6 @@ struct DbOptions {
   /// kLegacy by default to keep the seed's on-disk bytes reproducible;
   /// kBlocked makes every filter probe a single-cache-line access.
   FilterVariant filter_variant = FilterVariant::kLegacy;
-  /// Use the allocation-free Block::PointGet path in SstReader::Get
-  /// instead of the two-iterator seek path (DESIGN.md §7). Amp counters
-  /// are identical either way; this exists as an A/B switch for the
-  /// ablation bench and as an escape hatch.
-  bool point_read_fast_path = true;
 
   bool enable_wal = true;
   /// When the write path fsyncs the WAL; see WalSyncMode. kNone by default
@@ -87,10 +82,6 @@ struct DbOptions {
   WalSyncMode wal_sync_mode = WalSyncMode::kNone;
   /// kInterval only: minimum microseconds between write-path WAL syncs.
   uint64_t wal_sync_interval_micros = 10000;
-  // Legacy alias (pre group-commit): sync the WAL on every write. When set
-  // with wal_sync_mode == kNone it is upgraded to kPerGroup at Open, which
-  // preserves the old durability guarantee while amortizing the sync.
-  bool wal_sync_writes = false;
   // Replay WAL / manifest on open when present.
   bool create_if_missing = true;
 
@@ -100,11 +91,6 @@ struct DbOptions {
   /// always commits). Larger groups amortize WAL appends and syncs further
   /// but lengthen the tail of the writers at the back of the group.
   uint64_t max_write_group_bytes = 1 << 20;
-  /// When true, followers insert their own sub-batches into the memtable
-  /// concurrently (CAS skiplist inserts) instead of the leader applying the
-  /// whole group serially. Off by default: leader-applies keeps kInline
-  /// single-writer behavior bit-identical to the pre-pipeline engine.
-  bool parallel_memtable_writes = false;
 
   GrowthPolicyConfig policy;
 

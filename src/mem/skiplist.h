@@ -1,10 +1,10 @@
 // Arena-backed skiplist, the memtable's core index. Multi-writer,
-// multi-reader: Insert links nodes with per-level CAS retry loops, so the
-// parallel-memtable-write mode can apply commit-group sub-batches from
-// several threads at once (DESIGN.md §2.9), while readers traverse with
-// acquire loads and never lock (DESIGN.md §2.7). A new node is fully built
-// before the release-CAS that links it in, so a reader either sees the node
-// completely or not at all. With a single writer the CAS never fails and
+// multi-reader: Insert links nodes with per-level CAS retry loops, so
+// inserts of distinct keys may run from several threads at once (the engine
+// itself has one writer: the commit-group leader, DESIGN.md §2.9), while
+// readers traverse with acquire loads and never lock (DESIGN.md §2.7). A new
+// node is fully built before the release-CAS that links it in, so a reader
+// either sees the node completely or not at all. With a single writer the CAS never fails and
 // the resulting structure is bit-identical to the classic single-writer
 // insert (heights are drawn from one serialized PRNG stream).
 #ifndef TALUS_MEM_SKIPLIST_H_

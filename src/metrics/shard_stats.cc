@@ -8,110 +8,13 @@
 namespace talus {
 namespace metrics {
 
-EngineStats AggregateEngineStats(const std::vector<const EngineStats*>& in) {
-  EngineStats out;
-  for (const EngineStats* s : in) {
-    out.puts += s->puts;
-    out.deletes += s->deletes;
-    out.flushes += s->flushes;
-    out.compactions += s->compactions;
-    out.flush_bytes_read += s->flush_bytes_read;
-    out.flush_bytes_written += s->flush_bytes_written;
-    out.compaction_bytes_read += s->compaction_bytes_read;
-    out.compaction_bytes_written += s->compaction_bytes_written;
-    out.user_payload_written += s->user_payload_written;
-    out.compaction_conflicts += s->compaction_conflicts;
-    out.gets.fetch_add(s->gets.load(), std::memory_order_relaxed);
-    out.gets_found.fetch_add(s->gets_found.load(), std::memory_order_relaxed);
-    out.scans.fetch_add(s->scans.load(), std::memory_order_relaxed);
-    out.runs_probed.fetch_add(s->runs_probed.load(),
-                              std::memory_order_relaxed);
-    out.filter_negatives.fetch_add(s->filter_negatives.load(),
-                                   std::memory_order_relaxed);
-    out.data_block_reads.fetch_add(s->data_block_reads.load(),
-                                   std::memory_order_relaxed);
-    out.block_cache_hits.fetch_add(s->block_cache_hits.load(),
-                                   std::memory_order_relaxed);
-    out.obsolete_files_deleted += s->obsolete_files_deleted;
-    out.max_stall_clock = std::max(out.max_stall_clock, s->max_stall_clock);
-    out.memtable_switches += s->memtable_switches;
-    out.bg_flushes += s->bg_flushes;
-    out.bg_compactions += s->bg_compactions;
-    out.stall_slowdowns += s->stall_slowdowns;
-    out.stall_stops += s->stall_stops;
-    out.stall_micros += s->stall_micros;
-    out.stall_slowdown_micros += s->stall_slowdown_micros;
-    out.stall_stop_micros += s->stall_stop_micros;
-    out.stall_slowdowns_memtable += s->stall_slowdowns_memtable;
-    out.stall_slowdowns_l0 += s->stall_slowdowns_l0;
-    out.stall_stops_memtable += s->stall_stops_memtable;
-    out.stall_stops_l0 += s->stall_stops_l0;
-    out.max_imm_queue_depth =
-        std::max(out.max_imm_queue_depth, s->max_imm_queue_depth);
-    if (s->level_stats.size() > out.level_stats.size()) {
-      out.level_stats.resize(s->level_stats.size());
-    }
-    for (size_t i = 0; i < s->level_stats.size(); i++) {
-      out.level_stats[i].compactions += s->level_stats[i].compactions;
-      out.level_stats[i].bytes_read += s->level_stats[i].bytes_read;
-      out.level_stats[i].bytes_written += s->level_stats[i].bytes_written;
-    }
-  }
-  return out;
-}
-
-GroupCommitStats AggregateGroupCommitStats(
-    const std::vector<GroupCommitStats>& in) {
-  GroupCommitStats out;
-  for (const GroupCommitStats& s : in) {
-    out.group_commits += s.group_commits;
-    out.batches_committed += s.batches_committed;
-    out.parallel_applies += s.parallel_applies;
-    out.wal_syncs += s.wal_syncs;
-    out.write_queue_wait_micros += s.write_queue_wait_micros;
-    out.group_size_p50 = std::max(out.group_size_p50, s.group_size_p50);
-    out.group_size_max = std::max(out.group_size_max, s.group_size_max);
-  }
-  out.group_size_avg =
-      out.group_commits == 0
-          ? 0
-          : static_cast<double>(out.batches_committed) /
-                static_cast<double>(out.group_commits);
-  return out;
-}
-
-std::string DumpPrometheusText(const EngineStats& stats,
+std::string DumpPrometheusText(const CounterSnapshot& counters,
                                uint64_t events_total, uint64_t data_bytes,
                                const std::vector<Histogram>& latency_per_op,
                                const obs::AmpSnapshot* amp,
                                const tune::TunerStats* tune) {
   obs::PrometheusWriter w;
-  w.AddCounter("talus_puts_total", "", stats.puts);
-  w.AddCounter("talus_deletes_total", "", stats.deletes);
-  w.AddCounter("talus_gets_total", "", stats.gets.load());
-  w.AddCounter("talus_scans_total", "", stats.scans.load());
-  w.AddCounter("talus_flushes_total", "", stats.flushes);
-  w.AddCounter("talus_compactions_total", "", stats.compactions);
-  w.AddCounter("talus_compaction_conflicts_total", "",
-               stats.compaction_conflicts);
-  w.AddCounter("talus_flush_bytes_written_total", "",
-               stats.flush_bytes_written);
-  w.AddCounter("talus_compaction_bytes_written_total", "",
-               stats.compaction_bytes_written);
-  w.AddCounter("talus_stall_micros_total", "regime=\"slowdown\"",
-               stats.stall_slowdown_micros);
-  w.AddCounter("talus_stall_micros_total", "regime=\"stop\"",
-               stats.stall_stop_micros);
-  w.AddCounter("talus_stalls_total", "regime=\"slowdown\",cause=\"memtable\"",
-               stats.stall_slowdowns_memtable);
-  w.AddCounter("talus_stalls_total", "regime=\"slowdown\",cause=\"l0\"",
-               stats.stall_slowdowns_l0);
-  w.AddCounter("talus_stalls_total", "regime=\"stop\",cause=\"memtable\"",
-               stats.stall_stops_memtable);
-  w.AddCounter("talus_stalls_total", "regime=\"stop\",cause=\"l0\"",
-               stats.stall_stops_l0);
-  w.AddCounter("talus_obsolete_files_deleted_total", "",
-               stats.obsolete_files_deleted);
+  ExportCounters(counters, &w);
   w.AddCounter("talus_events_total", "", events_total);
   w.AddGauge("talus_data_bytes", "", static_cast<double>(data_bytes));
   for (size_t op = 0;

@@ -1,41 +1,28 @@
-// Cross-shard stat aggregation for shard::ShardedDB's GetProperty surface
-// (DESIGN.md §3). Counters sum, high-water marks take the max, and derived
-// ratios (write/read amplification, group-size averages) are recomputed
-// from the summed numerators and denominators rather than averaged — an
-// average of per-shard ratios would weight an idle shard the same as a hot
-// one.
+// The Prometheus exposition shared by DB and shard::ShardedDB, and the
+// cross-shard merges of what the counter table (metrics/counters.h) does
+// not cover: latency histograms and adaptive-tuner counters (DESIGN.md §3,
+// §6.4).
 #ifndef TALUS_METRICS_SHARD_STATS_H_
 #define TALUS_METRICS_SHARD_STATS_H_
 
 #include <vector>
 
-#include "lsm/db.h"
-#include "metrics/write_stats.h"
+#include "metrics/counters.h"
 #include "obs/amp_tracker.h"
 #include "tune/adaptive_tuner.h"
 
 namespace talus {
 namespace metrics {
 
-/// Field-wise aggregate of per-shard engine stats (sums; maxes for
-/// max_stall_clock / max_imm_queue_depth; level_stats element-wise).
-EngineStats AggregateEngineStats(const std::vector<const EngineStats*>& in);
-
-/// Aggregate of per-shard group-commit stats. group_size_avg is recomputed
-/// from total batches / total groups; p50 and max take the max across
-/// shards (a per-shard distribution does not merge exactly).
-GroupCommitStats AggregateGroupCommitStats(
-    const std::vector<GroupCommitStats>& in);
-
 /// Per-op latency merge: element-wise Histogram::Merge of each shard's
-/// DB::GetLatencyHistograms() vector. Unlike the group-size p50 above this
-/// merge is exact — shards share one bucket layout, so fleet-wide
-/// percentiles come from summed bucket counts, not a max-of-maxes.
+/// DB::GetLatencyHistograms() vector. Unlike the counter table's group-size
+/// p50 (a max across shards) this merge is exact — shards share one bucket
+/// layout, so fleet-wide percentiles come from summed bucket counts.
 std::vector<Histogram> MergeLatencyHistograms(
     const std::vector<std::vector<Histogram>>& per_shard);
 
 /// The talus_* Prometheus exposition shared by DB::DumpPrometheus and
-/// ShardedDB::DumpPrometheus: engine counters, the stall split, one
+/// ShardedDB::DumpPrometheus: the counter table's exported rows, one
 /// talus_latency_us histogram family per op with observations, and — when
 /// `amp` is non-null — the per-level talus_amp_* families plus the derived
 /// write/read/space amplification gauges (DESIGN.md §6.6).
@@ -45,7 +32,7 @@ std::vector<Histogram> MergeLatencyHistograms(
 /// accounting is disabled. `tune` adds the talus_tune_* families
 /// (DESIGN.md §9) — a single tuner's counters or a fleet-wide
 /// AggregateTunerStats() merge; null when adaptive tuning is off.
-std::string DumpPrometheusText(const EngineStats& stats,
+std::string DumpPrometheusText(const CounterSnapshot& counters,
                                uint64_t events_total, uint64_t data_bytes,
                                const std::vector<Histogram>& latency_per_op,
                                const obs::AmpSnapshot* amp = nullptr,

@@ -1,18 +1,14 @@
 #include "metrics/write_stats.h"
 
-#include <cstdio>
-
 namespace talus {
 namespace metrics {
 
 void GroupCommitTracker::OnGroupCommitted(size_t group_size,
                                           uint64_t committed_batches,
                                           uint64_t queue_wait_micros,
-                                          bool wal_synced,
-                                          size_t parallel_applies) {
+                                          bool wal_synced) {
   group_commits_++;
   batches_committed_ += committed_batches;
-  parallel_applies_ += parallel_applies;
   if (wal_synced) wal_syncs_++;
   write_queue_wait_micros_ += queue_wait_micros;
   group_sizes_.Add(static_cast<double>(group_size));
@@ -22,7 +18,6 @@ GroupCommitStats GroupCommitTracker::Snapshot() const {
   GroupCommitStats s;
   s.group_commits = group_commits_;
   s.batches_committed = batches_committed_;
-  s.parallel_applies = parallel_applies_;
   s.wal_syncs = wal_syncs_;
   s.write_queue_wait_micros = write_queue_wait_micros_;
   if (group_sizes_.Count() > 0) {
@@ -31,22 +26,6 @@ GroupCommitStats GroupCommitTracker::Snapshot() const {
     s.group_size_max = group_sizes_.Max();
   }
   return s;
-}
-
-std::string GroupCommitStats::ToString() const {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      "group_commits=%llu batches=%llu group_size_avg=%.2f "
-      "group_size_p50=%.1f group_size_max=%.0f wal_syncs=%llu "
-      "write_queue_wait_us=%llu parallel_applies=%llu",
-      static_cast<unsigned long long>(group_commits),
-      static_cast<unsigned long long>(batches_committed), group_size_avg,
-      group_size_p50, group_size_max,
-      static_cast<unsigned long long>(wal_syncs),
-      static_cast<unsigned long long>(write_queue_wait_micros),
-      static_cast<unsigned long long>(parallel_applies));
-  return buf;
 }
 
 }  // namespace metrics

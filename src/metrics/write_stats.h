@@ -1,6 +1,7 @@
 // GroupCommitStats: point-in-time snapshot of the write pipeline's batching
-// behavior, reported through DB::GetProperty("talus.stats") and
-// DB::GetGroupCommitStats(), and consumed by bench/ablation_group_commit.
+// behavior, reported through DB::GetProperty("talus.stats") (rows of the
+// counter table, metrics/counters.h) and DB::GetGroupCommitStats(), and
+// consumed by bench/ablation_group_commit.
 // Produced by metrics::GroupCommitTracker, which the DB updates under its
 // mutex at group-publish time (DESIGN.md §2.9).
 #ifndef TALUS_METRICS_WRITE_STATS_H_
@@ -8,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "util/histogram.h"
 
@@ -21,9 +21,6 @@ struct GroupCommitStats {
   /// Writer batches committed across all groups (excludes per-writer
   /// failures such as malformed batches).
   uint64_t batches_committed = 0;
-  /// Follower batches inserted by their own thread
-  /// (DbOptions::parallel_memtable_writes).
-  uint64_t parallel_applies = 0;
   /// WAL fsyncs issued by the write path (wal_sync_mode accounting; one
   /// sync covers every batch in its group).
   uint64_t wal_syncs = 0;
@@ -33,8 +30,6 @@ struct GroupCommitStats {
   double group_size_avg = 0;
   double group_size_p50 = 0;
   double group_size_max = 0;
-
-  std::string ToString() const;
 };
 
 /// Accumulator behind GroupCommitStats. Not internally synchronized: the DB
@@ -42,14 +37,12 @@ struct GroupCommitStats {
 class GroupCommitTracker {
  public:
   void OnGroupCommitted(size_t group_size, uint64_t committed_batches,
-                        uint64_t queue_wait_micros, bool wal_synced,
-                        size_t parallel_applies);
+                        uint64_t queue_wait_micros, bool wal_synced);
   GroupCommitStats Snapshot() const;
 
  private:
   uint64_t group_commits_ = 0;
   uint64_t batches_committed_ = 0;
-  uint64_t parallel_applies_ = 0;
   uint64_t wal_syncs_ = 0;
   uint64_t write_queue_wait_micros_ = 0;
   Histogram group_sizes_;

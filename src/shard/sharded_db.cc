@@ -386,44 +386,24 @@ Status ShardedDB::CompactAll() {
   return result;
 }
 
-EngineStats ShardedDB::AggregatedStats() const {
-  std::vector<const EngineStats*> per_shard;
+metrics::CounterSnapshot ShardedDB::AggregatedCounters() const {
+  std::vector<metrics::CounterSnapshot> per_shard;
   per_shard.reserve(shards_.size());
-  for (const auto& sh : shards_) per_shard.push_back(&sh->stats());
-  return metrics::AggregateEngineStats(per_shard);
-}
-
-metrics::GroupCommitStats ShardedDB::GetGroupCommitStats() const {
-  std::vector<metrics::GroupCommitStats> per_shard;
-  per_shard.reserve(shards_.size());
-  for (const auto& sh : shards_) per_shard.push_back(sh->GetGroupCommitStats());
-  return metrics::AggregateGroupCommitStats(per_shard);
+  for (const auto& sh : shards_) per_shard.push_back(sh->GetCounters());
+  return metrics::AggregateCounters(per_shard);
 }
 
 bool ShardedDB::GetProperty(const std::string& property, std::string* value) {
   value->clear();
   if (property == "talus.shards") {
     for (size_t i = 0; i < shards_.size(); i++) {
-      const EngineStats& st = shards_[i]->stats();
       std::string runs;
       shards_[i]->GetProperty("talus.num-runs", &runs);
-      char buf[512];
-      std::snprintf(
-          buf, sizeof(buf),
-          "shard=%zu range=%s puts=%llu deletes=%llu gets=%llu scans=%llu "
-          "flushes=%llu compactions=%llu data_bytes=%llu runs=%s "
-          "switches=%llu stall_us=%llu\n",
-          i, router_.RangeLabel(i).c_str(),
-          static_cast<unsigned long long>(st.puts),
-          static_cast<unsigned long long>(st.deletes),
-          static_cast<unsigned long long>(st.gets.load()),
-          static_cast<unsigned long long>(st.scans.load()),
-          static_cast<unsigned long long>(st.flushes),
-          static_cast<unsigned long long>(st.compactions),
-          static_cast<unsigned long long>(shards_[i]->ApproximateDataBytes()),
-          runs.c_str(), static_cast<unsigned long long>(st.memtable_switches),
-          static_cast<unsigned long long>(st.stall_micros));
-      *value += buf;
+      *value += "shard=" + std::to_string(i) +
+                " range=" + router_.RangeLabel(i) + " data_bytes=" +
+                std::to_string(shards_[i]->ApproximateDataBytes()) +
+                " runs=" + runs + " " +
+                metrics::FormatCounters(shards_[i]->GetCounters()) + "\n";
     }
     return true;
   }
@@ -465,86 +445,25 @@ bool ShardedDB::GetProperty(const std::string& property, std::string* value) {
     *value = std::to_string(total);
     return true;
   }
-  if (property == "talus.amp") {
-    // Fleet-wide merge first (what a dashboard scrapes), then the
-    // per-shard cumulative/window breakdown.
-    const obs::AmpSnapshot fleet = AggregatedAmpSnapshot();
-    *value = "-- fleet cumulative --\n" + fleet.ToString();
-    for (size_t i = 0; i < shards_.size(); i++) {
-      std::string one;
-      if (!shards_[i]->GetProperty(property, &one)) return false;
-      char head[64];
-      std::snprintf(head, sizeof(head), "-- shard %zu --\n", i);
-      *value += head;
-      *value += one;
-      if (!one.empty() && one.back() != '\n') *value += '\n';
+  if (property == "talus.amp" || property == "talus.levels" ||
+      property == "talus.cstats" || property == "talus.exec" ||
+      property == "talus.model" || property == "talus.tune") {
+    // talus.amp leads with the fleet-wide merge (what a dashboard scrapes);
+    // then every property lists each shard's own output.
+    if (property == "talus.amp") {
+      *value = "-- fleet cumulative --\n" + AggregatedAmpSnapshot().ToString();
     }
-    return true;
-  }
-  if (property == "talus.levels" || property == "talus.cstats" ||
-      property == "talus.exec" || property == "talus.model" ||
-      property == "talus.tune") {
     for (size_t i = 0; i < shards_.size(); i++) {
       std::string one;
       if (!shards_[i]->GetProperty(property, &one)) return false;
-      char head[64];
-      std::snprintf(head, sizeof(head), "-- shard %zu --\n", i);
-      *value += head;
-      *value += one;
+      *value += "-- shard " + std::to_string(i) + " --\n" + one;
       if (!one.empty() && one.back() != '\n') *value += '\n';
     }
     return true;
   }
   if (property == "talus.stats") {
-    const EngineStats agg = AggregatedStats();
-    uint64_t bc_hits = 0, bc_misses = 0, tc_hits = 0, tc_misses = 0;
-    for (auto& sh : shards_) {
-      bc_hits += sh->block_cache()->hits();
-      bc_misses += sh->block_cache()->misses();
-      const read::TableCache::Stats tc = sh->table_cache()->GetStats();
-      tc_hits += tc.hits;
-      tc_misses += tc.misses;
-    }
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "shards=%zu puts=%llu deletes=%llu gets=%llu scans=%llu "
-        "flushes=%llu compactions=%llu write_amp=%.3f read_amp=%.3f "
-        "flush_read=%llu comp_read=%llu conflicts=%llu "
-        "switches=%llu bg_flushes=%llu bg_compactions=%llu "
-        "stall_us=%llu slowdowns=%llu stops=%llu "
-        "stall_slowdown_us=%llu stall_stop_us=%llu "
-        "slowdowns_memtable=%llu slowdowns_l0=%llu "
-        "stops_memtable=%llu stops_l0=%llu "
-        "bc_hits=%llu bc_misses=%llu tc_hits=%llu tc_misses=%llu",
-        shards_.size(), static_cast<unsigned long long>(agg.puts),
-        static_cast<unsigned long long>(agg.deletes),
-        static_cast<unsigned long long>(agg.gets.load()),
-        static_cast<unsigned long long>(agg.scans.load()),
-        static_cast<unsigned long long>(agg.flushes),
-        static_cast<unsigned long long>(agg.compactions),
-        agg.WriteAmplification(), agg.ReadAmplification(),
-        static_cast<unsigned long long>(agg.flush_bytes_read),
-        static_cast<unsigned long long>(agg.compaction_bytes_read),
-        static_cast<unsigned long long>(agg.compaction_conflicts),
-        static_cast<unsigned long long>(agg.memtable_switches),
-        static_cast<unsigned long long>(agg.bg_flushes),
-        static_cast<unsigned long long>(agg.bg_compactions),
-        static_cast<unsigned long long>(agg.stall_micros),
-        static_cast<unsigned long long>(agg.stall_slowdowns),
-        static_cast<unsigned long long>(agg.stall_stops),
-        static_cast<unsigned long long>(agg.stall_slowdown_micros),
-        static_cast<unsigned long long>(agg.stall_stop_micros),
-        static_cast<unsigned long long>(agg.stall_slowdowns_memtable),
-        static_cast<unsigned long long>(agg.stall_slowdowns_l0),
-        static_cast<unsigned long long>(agg.stall_stops_memtable),
-        static_cast<unsigned long long>(agg.stall_stops_l0),
-        static_cast<unsigned long long>(bc_hits),
-        static_cast<unsigned long long>(bc_misses),
-        static_cast<unsigned long long>(tc_hits),
-        static_cast<unsigned long long>(tc_misses));
-    *value = std::string(buf) + " | " +
-             GetGroupCommitStats().ToString();
+    *value = "shards=" + std::to_string(shards_.size()) + " " +
+             metrics::FormatCounters(AggregatedCounters());
     return true;
   }
   return false;
@@ -566,7 +485,6 @@ std::vector<Histogram> ShardedDB::GetLatencyHistograms() const {
 }
 
 std::string ShardedDB::DumpPrometheus() const {
-  const EngineStats agg = AggregatedStats();
   const obs::AmpSnapshot amp = AggregatedAmpSnapshot();
   std::vector<tune::TunerStats> per_shard_tune;
   for (const auto& sh : shards_) {
@@ -577,7 +495,7 @@ std::string ShardedDB::DumpPrometheus() const {
   const tune::TunerStats tune_agg =
       metrics::AggregateTunerStats(per_shard_tune);
   return metrics::DumpPrometheusText(
-      agg, ring_->TotalEmitted(), ApproximateDataBytes(),
+      AggregatedCounters(), ring_->TotalEmitted(), ApproximateDataBytes(),
       GetLatencyHistograms(), options_.enable_amp_stats ? &amp : nullptr,
       per_shard_tune.empty() ? nullptr : &tune_agg);
 }
@@ -629,10 +547,8 @@ std::string ShardedDB::BuildStatsSample() {
 std::string ShardedDB::DebugString() const {
   std::string out;
   for (size_t i = 0; i < shards_.size(); i++) {
-    char head[64];
-    std::snprintf(head, sizeof(head), "-- shard %zu --\n", i);
-    out += head;
-    out += shards_[i]->DebugString();
+    out += "-- shard " + std::to_string(i) + " --\n" +
+           shards_[i]->DebugString();
   }
   return out;
 }

@@ -93,8 +93,8 @@ class ShardedDB {
   Status CompactAll();
 
   /// Same names as DB::GetProperty, aggregated across shards, plus
-  /// "talus.shards" — a per-shard breakdown (range, writes, reads, data
-  /// bytes, runs, stall time). "talus.latency" reports fleet-wide per-op
+  /// "talus.shards" — a per-shard breakdown (range, data bytes, runs, and
+  /// the shard's own talus.stats keys). "talus.latency" reports fleet-wide per-op
   /// percentiles (exact merge of the per-shard histograms) and
   /// "talus.events" the shared event ring every shard emits into. With one
   /// shard every property passes through bit-identically.
@@ -103,10 +103,9 @@ class ShardedDB {
   uint64_t ApproximateDataBytes() const;
   std::string DebugString() const;
 
-  /// Field-wise aggregate of the per-shard engine stats. Like DB::stats(),
-  /// precise only when quiesced.
-  EngineStats AggregatedStats() const;
-  metrics::GroupCommitStats GetGroupCommitStats() const;
+  /// The per-shard counter snapshots merged row by row under the counter
+  /// table's shard rules (metrics/counters.h).
+  metrics::CounterSnapshot AggregatedCounters() const;
   /// Exact fleet-wide per-op latency merge, indexed by obs::OpType.
   std::vector<Histogram> GetLatencyHistograms() const;
   /// Prometheus exposition of the aggregated counters, merged latency

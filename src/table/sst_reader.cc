@@ -116,42 +116,17 @@ Status SstReader::ReadBlockContents(const BlockHandle& handle, char* scratch,
   return Status::OK();
 }
 
-bool SstReader::Get(const LookupKey& lkey, std::string* value, Status* s,
-                    GetStats* stats, bool fast_path) {
-  if (!filter_->KeyMayMatch(lkey.user_key())) {
-    if (stats != nullptr) stats->filter_negative = true;
-    return false;
-  }
-  return fast_path ? GetPointSearch(lkey, value, s, stats)
-                   : GetViaIterators(lkey, value, s, stats);
-}
-
-bool SstReader::FinishGet(const LookupKey& lkey, const Slice& entry_key,
-                          const Slice& entry_value, std::string* value,
-                          Status* s) {
-  ParsedInternalKey parsed;
-  if (!ParseInternalKey(entry_key, &parsed)) {
-    *s = Status::Corruption("bad internal key in data block");
-    return true;
-  }
-  if (parsed.user_key != lkey.user_key()) return false;
-
-  if (parsed.type == kTypeDeletion) {
-    *s = Status::NotFound(Slice());
-  } else {
-    value->assign(entry_value.data(), entry_value.size());
-    *s = Status::OK();
-  }
-  return true;
-}
-
 // Allocation-free point lookup: PointGet against the pinned index block,
 // then against the data block — no iterator heap allocations and no
 // per-entry std::string rebuilds. For the uncached no-block-cache case the
 // data block is a non-owning view over a reused thread-local scratch (with
 // a mem env the view points directly at the file's bytes: zero copies).
-bool SstReader::GetPointSearch(const LookupKey& lkey, std::string* value,
-                               Status* s, GetStats* stats) {
+bool SstReader::Get(const LookupKey& lkey, std::string* value, Status* s,
+                    GetStats* stats) {
+  if (!filter_->KeyMayMatch(lkey.user_key())) {
+    if (stats != nullptr) stats->filter_negative = true;
+    return false;
+  }
   const Slice ikey = lkey.internal_key();
   PointGetContext ctx;
 
@@ -212,57 +187,19 @@ bool SstReader::GetPointSearch(const LookupKey& lkey, std::string* value,
   }
   if (ps == PointGetStatus::kNotFound) return false;
 
-  return FinishGet(lkey, ctx.key(), ctx.value(), value, s);
-}
-
-// Legacy two-iterator path, kept as the A/B baseline for the ablation and
-// as an escape hatch (DbOptions::point_read_fast_path = false).
-bool SstReader::GetViaIterators(const LookupKey& lkey, std::string* value,
-                                Status* s, GetStats* stats) {
-  Slice ikey = lkey.internal_key();
-
-  auto index_iter = index_block_->NewIterator(/*internal_key_order=*/true);
-  index_iter->Seek(ikey);
-  if (!index_iter->Valid()) {
-    // Seek past the last entry is a miss, but a seek that died on a corrupt
-    // entry must surface the corruption, not read as "not found".
-    if (!index_iter->status().ok()) {
-      *s = index_iter->status();
-      return true;
-    }
-    return false;
-  }
-
-  BlockHandle handle;
-  Slice handle_value = index_iter->value();
-  if (!handle.DecodeFrom(&handle_value)) {
-    *s = Status::Corruption("bad index entry");
-    return true;  // Treat as decided with an error status.
-  }
-
-  std::shared_ptr<Block> block;
-  bool cache_hit = false;
-  Status rs = ReadDataBlock(handle, &block, &cache_hit);
-  if (stats != nullptr) {
-    stats->block_read = !cache_hit;
-    stats->cache_hit = cache_hit;
-  }
-  if (!rs.ok()) {
-    *s = rs;
+  ParsedInternalKey parsed;
+  if (!ParseInternalKey(ctx.key(), &parsed)) {
+    *s = Status::Corruption("bad internal key in data block");
     return true;
   }
-
-  auto block_iter = block->NewIterator(/*internal_key_order=*/true);
-  block_iter->Seek(ikey);
-  if (!block_iter->Valid()) {
-    if (!block_iter->status().ok()) {
-      *s = block_iter->status();
-      return true;
-    }
-    return false;
+  if (parsed.user_key != lkey.user_key()) return false;
+  if (parsed.type == kTypeDeletion) {
+    *s = Status::NotFound(Slice());
+  } else {
+    value->assign(ctx.value().data(), ctx.value().size());
+    *s = Status::OK();
   }
-
-  return FinishGet(lkey, block_iter->key(), block_iter->value(), value, s);
+  return true;
 }
 
 // Iterates index entries, materializing one data block at a time: a cached

@@ -54,11 +54,10 @@ class SstReader {
 
   /// Point lookup for the newest entry visible at `lkey`. Returns true if
   /// this run decides the key (value found or tombstone). Sets *s to OK or
-  /// NotFound accordingly. `fast_path` selects the allocation-free
-  /// Block::PointGet search (DESIGN.md §7); false falls back to the
-  /// two-iterator seek path. Results and GetStats are identical either way.
+  /// NotFound accordingly. Searches with the allocation-free
+  /// Block::PointGet (DESIGN.md §7).
   bool Get(const LookupKey& lkey, std::string* value, Status* s,
-           GetStats* stats = nullptr, bool fast_path = true);
+           GetStats* stats = nullptr);
 
   /// Iterator over the whole file (internal keys). Stops at the first
   /// damaged or unreadable block and reports it through status().
@@ -79,14 +78,6 @@ class SstReader {
   /// own bytes).
   Status ReadBlockContents(const BlockHandle& handle, char* scratch,
                            Slice* contents);
-
-  bool GetPointSearch(const LookupKey& lkey, std::string* value, Status* s,
-                      GetStats* stats);
-  bool GetViaIterators(const LookupKey& lkey, std::string* value, Status* s,
-                       GetStats* stats);
-  /// Shared tail: classify the entry PointGet/Seek positioned on.
-  bool FinishGet(const LookupKey& lkey, const Slice& entry_key,
-                 const Slice& entry_value, std::string* value, Status* s);
 
   class TwoLevelIterator;
 

@@ -1,7 +1,7 @@
 // Arena: bump-pointer allocator backing the memtable skiplist. All memory is
 // freed at once when the arena is destroyed. A spinlock serializes the bump
-// pointer so parallel memtable inserts (DESIGN.md §2.9) can allocate
-// concurrently; uncontended, the lock costs a couple of atomic operations.
+// pointer so concurrent skiplist inserts can allocate safely; uncontended,
+// the lock costs a couple of atomic operations.
 #ifndef TALUS_UTIL_ARENA_H_
 #define TALUS_UTIL_ARENA_H_
 

@@ -7,9 +7,7 @@
 #ifndef TALUS_WRITE_WRITER_H_
 #define TALUS_WRITE_WRITER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "lsm/dbformat.h"
@@ -25,10 +23,9 @@ namespace write {
 /// reads `status`). `state` is guarded by WriteQueue's internal mutex.
 struct Writer {
   enum State : uint8_t {
-    kWaiting,        // Queued behind the current group.
-    kLeader,         // Front of the queue: this thread commits the group.
-    kParallelApply,  // Told by the leader to insert its own sub-batch.
-    kDone,           // Committed (or failed); `status` is final.
+    kWaiting,  // Queued behind the current group.
+    kLeader,   // Front of the queue: this thread commits the group.
+    kDone,     // Committed (or failed); `status` is final.
   };
 
   explicit Writer(const WriteBatch* b) : batch(b) {}
@@ -56,8 +53,6 @@ struct Writer {
   /// accounting). Stays 0 for a writer that took leadership immediately,
   /// which keeps serial runs' stats bit-deterministic — no clock is read.
   uint64_t join_micros = 0;
-  /// Set by the leader for parallel memtable applies.
-  struct WriteGroup* group = nullptr;
   State state = kWaiting;
 };
 
@@ -67,12 +62,6 @@ struct WriteGroup {
   std::vector<Writer*> writers;
   /// Sum over members of (group-build time - join time).
   uint64_t queue_wait_micros = 0;
-  /// Follower-side memtable insert, set by the leader before
-  /// WriteQueue::StartParallelApplies. Must be safe to run concurrently
-  /// from every follower thread.
-  std::function<void(Writer*)> apply;
-  /// Followers that have not finished their parallel apply yet.
-  std::atomic<int> pending_applies{0};
 };
 
 }  // namespace write

@@ -25,7 +25,7 @@ DbOptions Opts(Env* env, bool wal_sync) {
   opts.write_buffer_size = 4 << 10;
   opts.target_file_size = 4 << 10;
   opts.block_size = 1024;
-  opts.wal_sync_writes = wal_sync;
+  if (wal_sync) opts.wal_sync_mode = WalSyncMode::kPerGroup;
   opts.policy = GrowthPolicyConfig::VTLevelPart(3);
   return opts;
 }

@@ -5,8 +5,10 @@
 // and parallel recovery after a simulated crash mid-write.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -236,6 +238,128 @@ TEST(ShardedDB, RoutesAndScansAcrossShards) {
   ASSERT_TRUE(db->GetProperty("talus.stats", &agg));
   EXPECT_NE(agg.find("shards=4"), std::string::npos);
   EXPECT_NE(agg.find("puts=1000"), std::string::npos);
+}
+
+// talus.stats text -> key/value pairs ("|" section marks skipped).
+std::map<std::string, std::string> ParseStats(const std::string& text) {
+  std::map<std::string, std::string> out;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t end = text.find(' ', pos);
+    if (end == std::string::npos) end = text.size();
+    const std::string token = text.substr(pos, end - pos);
+    const size_t eq = token.find('=');
+    if (eq != std::string::npos) {
+      out[token.substr(0, eq)] = token.substr(eq + 1);
+    }
+    pos = end + 1;
+  }
+  return out;
+}
+
+// The value of the `series` sample (name plus label set) in an exposition,
+// or -1 when it is absent.
+double Sample(const std::string& text, const std::string& series) {
+  const std::string needle = "\n" + series + " ";
+  const size_t pos = text.find(needle);
+  if (pos == std::string::npos) return -1;
+  return std::strtod(text.c_str() + pos + needle.size(), nullptr);
+}
+
+// A multi-shard talus.stats is `shards=N` plus exactly a single DB's keys,
+// each merged by its counter-table row; /metrics exports every row that
+// names a family, the block cache included.
+TEST(ShardedDB, StatsCarryEverySingleDbKeyMergedByItsRule) {
+  auto env = NewMemEnv();
+  DbOptions opts = Opts(env.get(), "/stats");
+  opts.shard_count = 4;
+  opts.shard_split_points = SplitPoints(4, 2000);
+  std::unique_ptr<shard::ShardedDB> db;
+  ASSERT_TRUE(shard::ShardedDB::Open(opts, &db).ok());
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(db->Put(Key(i), std::string(40, 'v')).ok());
+  }
+  for (int i = 0; i < 2000; i += 3) ASSERT_TRUE(db->Delete(Key(i)).ok());
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  std::string value;
+  for (int pass = 0; pass < 2; pass++) {
+    for (int i = 0; i < 2400; i += 5) db->Get(Key(i), &value);
+  }
+  std::vector<std::pair<std::string, std::string>> out;
+  ASSERT_TRUE(db->Scan(Key(400), 50, &out).ok());
+
+  std::string text;
+  ASSERT_TRUE(db->GetProperty("talus.stats", &text));
+  ASSERT_EQ(text.rfind("shards=4 ", 0), 0u) << text;
+  std::map<std::string, std::string> fleet = ParseStats(text);
+  fleet.erase("shards");
+  std::vector<std::map<std::string, std::string>> shards;
+  for (size_t i = 0; i < db->shard_count(); i++) {
+    std::string one;
+    ASSERT_TRUE(db->shard(i)->GetProperty("talus.stats", &one));
+    shards.push_back(ParseStats(one));
+  }
+  // Exactly a single DB's key set.
+  ASSERT_EQ(fleet.size(), shards[0].size()) << text;
+  for (const auto& kv : shards[0]) {
+    EXPECT_EQ(fleet.count(kv.first), 1u) << kv.first << " missing: " << text;
+  }
+
+  const auto merged = [&](const char* key, metrics::ShardRule rule) {
+    double acc = 0;
+    for (const auto& one : shards) {
+      const double v = std::strtod(one.at(key).c_str(), nullptr);
+      acc = rule == metrics::ShardRule::kSum ? acc + v : std::max(acc, v);
+    }
+    return acc;
+  };
+  // Every row, and the exposition it feeds.
+  struct Row {
+    const char* key;
+    metrics::ShardRule rule;
+    const char* family;
+    std::string labels;
+  };
+  const Row rows[] = {
+#define TABLE_ROW(key, rule, digits, get, family, labels, help) \
+  {key, metrics::ShardRule::rule, family, labels},
+      TALUS_ENGINE_COUNTERS(TABLE_ROW)
+#undef TABLE_ROW
+  };
+  const std::string prom = "\n" + db->DumpPrometheus();
+  int checked = 0;
+  for (const Row& row : rows) {
+    std::string series;
+    if (row.family != nullptr) {
+      series = row.family;
+      if (!row.labels.empty()) series += "{" + row.labels + "}";
+      EXPECT_GE(Sample(prom, series), 0) << series << " not exported";
+    }
+    if (row.key == nullptr || row.rule == metrics::ShardRule::kRatio) continue;
+    std::string key = row.key;
+    if (key.rfind("| ", 0) == 0) key = key.substr(2);
+    const double want = merged(key.c_str(), row.rule);
+    EXPECT_DOUBLE_EQ(std::strtod(fleet.at(key).c_str(), nullptr), want)
+        << key;
+    if (row.family != nullptr) {
+      EXPECT_DOUBLE_EQ(Sample(prom, series), want) << series;
+    }
+    checked++;
+  }
+  EXPECT_GT(checked, 40);
+
+  // The workload really moved the counters the check relies on.
+  EXPECT_EQ(fleet.at("puts"), "2000");
+  EXPECT_GT(merged("bc_hits", metrics::ShardRule::kSum), 0);
+  EXPECT_GT(merged("bc_misses", metrics::ShardRule::kSum), 0);
+  EXPECT_GT(merged("tc_opens", metrics::ShardRule::kSum), 0);
+  for (const char* family :
+       {"talus_block_cache_hits_total", "talus_block_cache_misses_total",
+        "talus_block_cache_evictions_total", "talus_block_cache_usage_bytes"}) {
+    EXPECT_GE(Sample(prom, family), 0) << family;
+  }
+  EXPECT_EQ(Sample(prom, "talus_block_cache_hits_total"),
+            std::strtod(fleet.at("bc_hits").c_str(), nullptr));
 }
 
 TEST(ShardedDB, MultiShardBatchIsAtomicInSnapshots) {

@@ -182,71 +182,66 @@ TEST(Sst, PosixEnvRoundTrip) {
   env->RemoveFile(fname);
 }
 
-// Compatibility matrix: SSTs written with either filter variant must read
-// back correctly through both the PointGet fast path and the legacy
-// iterator path — one reader handles any mix of file vintages.
-TEST(Sst, FilterVariantAndGetPathMatrix) {
+// Compatibility: SSTs written with either filter variant must read back
+// correctly — one reader handles any mix of file vintages.
+TEST(Sst, FilterVariantsReadBack) {
   for (const FilterVariant variant :
        {FilterVariant::kLegacy, FilterVariant::kBlocked}) {
+    SCOPED_TRACE("variant=" + std::to_string(static_cast<int>(variant)));
     SstFixture fx;
     fx.Build(2000, 10.0, 4096, variant);
-    for (const bool fast_path : {false, true}) {
-      SCOPED_TRACE("variant=" + std::to_string(static_cast<int>(variant)) +
-                   " fast_path=" + std::to_string(fast_path));
-      for (const auto& [k, v] : fx.model) {
-        std::string value;
-        Status s;
-        LookupKey lkey(k, kMaxSequenceNumber);
-        ASSERT_TRUE(fx.reader->Get(lkey, &value, &s, nullptr, fast_path))
-            << k;
-        EXPECT_TRUE(s.ok());
-        EXPECT_EQ(value, v);
-      }
-      // Missing keys stay undecided and the filter still fires.
-      int decided = 0, filter_negative = 0;
-      for (int i = 0; i < 1000; i++) {
-        char key[32];
-        snprintf(key, sizeof(key), "zzzz%08d", i);
-        std::string value;
-        Status s;
-        SstReader::GetStats stats;
-        if (fx.reader->Get(LookupKey(key, kMaxSequenceNumber), &value, &s,
-                           &stats, fast_path)) {
-          decided++;
-        }
-        if (stats.filter_negative) filter_negative++;
-      }
-      EXPECT_EQ(decided, 0);
-      EXPECT_GT(filter_negative, 900);
+    for (const auto& [k, v] : fx.model) {
+      std::string value;
+      Status s;
+      LookupKey lkey(k, kMaxSequenceNumber);
+      ASSERT_TRUE(fx.reader->Get(lkey, &value, &s)) << k;
+      EXPECT_TRUE(s.ok());
+      EXPECT_EQ(value, v);
     }
+    // Missing keys stay undecided and the filter still fires.
+    int decided = 0, filter_negative = 0;
+    for (int i = 0; i < 1000; i++) {
+      char key[32];
+      snprintf(key, sizeof(key), "zzzz%08d", i);
+      std::string value;
+      Status s;
+      SstReader::GetStats stats;
+      if (fx.reader->Get(LookupKey(key, kMaxSequenceNumber), &value, &s,
+                         &stats)) {
+        decided++;
+      }
+      if (stats.filter_negative) filter_negative++;
+    }
+    EXPECT_EQ(decided, 0);
+    EXPECT_GT(filter_negative, 900);
   }
 }
 
-// Both Get paths must report identical per-lookup stats: the amp counters
-// built from them feed the cost model and must not shift with the path.
-TEST(Sst, GetStatsIdenticalAcrossPaths) {
-  SstFixture slow, fast;
-  slow.Build(3000);
-  fast.Build(3000);
+// Per-lookup stats feed the amp counters and the cost model: a filter
+// negative reads no block, and every other probe reads exactly one block,
+// from the cache or from the file.
+TEST(Sst, GetStatsMatchTheLookup) {
+  SstFixture fx;
+  fx.Build(3000);
+  int hits = 0;
   for (int i = 0; i < 3000; i++) {
     char key[32];
-    snprintf(key, sizeof(key), "user%08d", i);  // Mix of hits and misses.
-    std::string v1, v2;
-    Status s1, s2;
-    SstReader::GetStats g1, g2;
-    const bool d1 = slow.reader->Get(LookupKey(key, kMaxSequenceNumber), &v1,
-                                     &s1, &g1, /*fast_path=*/false);
-    const bool d2 = fast.reader->Get(LookupKey(key, kMaxSequenceNumber), &v2,
-                                     &s2, &g2, /*fast_path=*/true);
-    ASSERT_EQ(d1, d2) << key;
-    EXPECT_EQ(g1.filter_negative, g2.filter_negative) << key;
-    EXPECT_EQ(g1.block_read, g2.block_read) << key;
-    EXPECT_EQ(g1.cache_hit, g2.cache_hit) << key;
-    if (d1) {
-      EXPECT_EQ(s1.ok(), s2.ok());
-      EXPECT_EQ(v1, v2);
+    snprintf(key, sizeof(key), "user%08d", i);  // Every third key exists.
+    std::string value;
+    Status s;
+    SstReader::GetStats g;
+    const bool decided =
+        fx.reader->Get(LookupKey(key, kMaxSequenceNumber), &value, &s, &g);
+    EXPECT_EQ(decided, i % 3 == 0) << key;
+    if (decided) hits++;
+    if (g.filter_negative) {
+      EXPECT_FALSE(decided) << key;
+      EXPECT_FALSE(g.block_read || g.cache_hit) << key;
+    } else {
+      EXPECT_NE(g.block_read, g.cache_hit) << key;
     }
   }
+  EXPECT_EQ(hits, 1000);
 }
 
 TEST(Sst, TombstonesDecideLookups) {

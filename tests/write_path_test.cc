@@ -2,8 +2,8 @@
 // leadership handoff, N-writer group-commit vs. serial content equality,
 // WAL-failure sequence rollback, per-writer status isolation (a poisoned
 // batch never fails its group), recovery replay of group-committed records,
-// wal_sync_mode accounting, and parallel (CAS) memtable inserts — the last
-// two also run under TSan/ASan/UBSan in CI.
+// wal_sync_mode accounting, and concurrent (CAS) skiplist inserts — the
+// last two also run under TSan/ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -279,11 +279,10 @@ TEST(GroupCommit, PoisonedBatchFailsAloneInGroup) {
 // N concurrent writers through the group-commit pipeline must produce
 // exactly the content a serial single-writer run produces (threads own
 // disjoint key ranges, so the final state is deterministic).
-ScanResult RunConcurrentWorkload(bool parallel_memtable, int writers) {
+ScanResult RunConcurrentWorkload(int writers) {
   auto env = NewMemEnv();
   DbOptions opts = Opts(env.get(), "/gcw");
   opts.execution_mode = ExecutionMode::kBackground;
-  opts.parallel_memtable_writes = parallel_memtable;
   std::unique_ptr<DB> db;
   EXPECT_TRUE(DB::Open(opts, &db).ok());
 
@@ -313,26 +312,16 @@ ScanResult RunConcurrentWorkload(bool parallel_memtable, int writers) {
 }
 
 TEST(GroupCommit, ConcurrentWritersMatchSerialContent) {
-  const ScanResult serial = RunConcurrentWorkload(false, 1);
+  const ScanResult serial = RunConcurrentWorkload(1);
   // Sanity: a 1-writer serial run has every key at its round-2 value.
   ASSERT_EQ(serial.size(), 400u);
-  const ScanResult concurrent = RunConcurrentWorkload(false, 4);
+  const ScanResult concurrent = RunConcurrentWorkload(4);
   // 4 writers × the same per-thread workload over 4 disjoint ranges.
   ASSERT_EQ(concurrent.size(), 1600u);
   // Thread 0's range must be bit-identical to the serial run.
   for (size_t i = 0; i < serial.size(); i++) {
     EXPECT_EQ(concurrent[i].first, serial[i].first);
     EXPECT_EQ(concurrent[i].second, serial[i].second);
-  }
-}
-
-TEST(GroupCommit, ParallelMemtableWritesMatchLeaderApplies) {
-  const ScanResult leader_applies = RunConcurrentWorkload(false, 4);
-  const ScanResult parallel = RunConcurrentWorkload(true, 4);
-  ASSERT_EQ(parallel.size(), leader_applies.size());
-  for (size_t i = 0; i < parallel.size(); i++) {
-    EXPECT_EQ(parallel[i].first, leader_applies[i].first);
-    EXPECT_EQ(parallel[i].second, leader_applies[i].second);
   }
 }
 
@@ -387,15 +376,6 @@ TEST(GroupCommit, WalSyncModeAccounting) {
     for (int i = 0; i < 50; i++) ASSERT_TRUE(db->Put(Key(i), "v").ok());
     const metrics::GroupCommitStats gc = db->GetGroupCommitStats();
     EXPECT_EQ(gc.wal_syncs, gc.group_commits);
-  }
-  {  // Legacy wal_sync_writes upgrades to kPerGroup.
-    auto env = NewMemEnv();
-    DbOptions opts = Opts(env.get(), "/gc6c");
-    opts.wal_sync_writes = true;
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(opts, &db).ok());
-    for (int i = 0; i < 10; i++) ASSERT_TRUE(db->Put(Key(i), "v").ok());
-    EXPECT_EQ(db->GetGroupCommitStats().wal_syncs, 10u);
   }
   {  // kInterval with a huge interval: at most the first sync fires.
     auto env = NewMemEnv();

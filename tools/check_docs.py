@@ -2,7 +2,7 @@
 """Docs-vs-source linter (CI: the docs-check job).
 
 Documentation rots by referencing things that were renamed or removed, so
-this script fails CI on dangling references. Four checks, all grep-level —
+this script fails CI on dangling references. Six checks, all grep-level —
 no build needed:
 
   1. Every `talus.<name>` property named in the markdown exists as a
@@ -17,6 +17,9 @@ no build needed:
      (generated artifacts like BENCH_*.json are allowlisted).
   5. Every `DbOptions::<field>` reference — in markdown OR in source
      comments — names a field actually declared in src/lsm/options.h.
+  6. The other direction of check 2: every quoted "talus_<name>" family
+     under src/metrics/ and src/server/ (the exposition's sources) is
+     named in docs/OPERATIONS.md.
 
 Run locally from the repo root: python3 tools/check_docs.py
 """
@@ -73,6 +76,19 @@ def source_corpus():
 
 
 DBOPTIONS_RE = re.compile(r"DbOptions::([A-Za-z_][A-Za-z0-9_]*)")
+
+EXPORTER_GLOBS = ["src/metrics/*.cc", "src/metrics/*.h", "src/server/*.cc",
+                  "src/server/*.h"]
+FAMILY_LITERAL_RE = re.compile(r'"(talus_[a-z][a-z0-9_]*)"')
+
+
+def exported_families():
+    """Quoted talus_* family names in the exposition's sources."""
+    families = set()
+    for pattern in EXPORTER_GLOBS:
+        for path in glob.glob(os.path.join(REPO, pattern)):
+            families.update(FAMILY_LITERAL_RE.findall(read(path)))
+    return families
 
 
 def dboptions_fields():
@@ -158,6 +174,14 @@ def main():
     for field in sorted(set(DBOPTIONS_RE.findall(src))):
         if field not in fields:
             errors.append(f"src: DbOptions::{field} is not a DbOptions field")
+
+    # Every exported family has a runbook entry.
+    ops = read(os.path.join(REPO, "docs", "OPERATIONS.md"))
+    for family in sorted(exported_families()):
+        if not re.search(r"(?<![A-Za-z0-9_])" + family + r"(?![A-Za-z0-9_])",
+                         ops):
+            errors.append(
+                f"src: metric {family} is not documented in docs/OPERATIONS.md")
 
     if errors:
         for e in errors:
